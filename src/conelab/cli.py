@@ -2,7 +2,9 @@
 
 Results go to stdout (text by default, byte-stable JSON with --format
 json); diagnostics go to stderr.  Exit codes: 0 success, 1 a verification
-or boolean check came out negative, 2 input error.  Input paths that do
+or boolean check came out negative, 2 input error or a lattice window too
+small to certify the result ("window error: ..." names the radius used and,
+where the command takes one, the --window option).  Input paths that do
 not exist on disk fall back to the packaged fixture of the same name, so
 `conelab tu check A10.txt` works from anywhere.
 """
@@ -29,6 +31,7 @@ from .cones import (
     sigma_of_matrix,
 )
 from .delone import (
+    WindowError,
     delone_subdivision,
     dicing_subdivision,
     minkowski_sum_check,
@@ -765,6 +768,10 @@ def run(argv=None) -> int:
         return args.fn(args)
     except InputError as e:
         print(f"input error: {e}", file=sys.stderr)
+        return 2
+    except WindowError as e:
+        hint = " with --window" if "window" in vars(args) else ""
+        print(f"window error: {e}{hint}", file=sys.stderr)
         return 2
     except (ValueError, OSError, json.JSONDecodeError) as e:
         print(f"input error: {e}", file=sys.stderr)

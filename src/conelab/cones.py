@@ -19,6 +19,7 @@ from .exact import (
     RatMatrix,
     canonical_sign,
     determinant,
+    primitive,
     rank,
     solve_exact,
 )
@@ -29,22 +30,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .quadforms import QuadForm
 
 log = logging.getLogger(__name__)
-
-
-def _primitive(v: Sequence[int]) -> tuple:
-    g = 0
-    for x in v:
-        g = _gcd(g, x)
-    if g > 1:
-        v = [x // g for x in v]
-    return tuple(int(x) for x in canonical_sign([Fraction(x) for x in v]))
-
-
-def _gcd(a, b):
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def sym_coords(m: RatMatrix) -> tuple:
@@ -96,7 +81,7 @@ class RayCone:
         for v in vectors:
             if len(v) != g:
                 raise DimensionError("generator length does not match g")
-            p = _primitive(v)
+            p = canonical_sign(primitive(v)[0])
             if all(x == 0 for x in p):
                 raise ValueError("zero generator")
             gens.append(p)

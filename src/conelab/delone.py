@@ -15,7 +15,15 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Optional
 
-from .exact import RatMatrix, invert, rank, solve_exact
+from .exact import (
+    RatMatrix,
+    canonical_sign,
+    clear_denominators,
+    invert,
+    primitive,
+    rank,
+    solve_exact,
+)
 from .lp import solve_lp, solve_standard_min
 from .quadforms import QuadForm, enumerate_in_ellipsoid, rational_rank_normal_form
 from .tumatrix import TUMatrix, is_simple_matrix
@@ -93,17 +101,9 @@ def _locate_cell(points, heights, q):
     res = solve_standard_min(cost, a_eq, b_eq)
     if res.status != "optimal":
         raise WindowError("query point outside the window hull; raise the window")
-    aff = _to_int_affine(res.duals)
+    ints, den = clear_denominators(res.duals)
+    aff = (ints[:-1], ints[-1], den)
     return aff, _tight_set(points, heights, aff)
-
-
-def _to_int_affine(coeffs):
-    den = 1
-    for x in coeffs:
-        x = Fraction(x)
-        den = den * x.denominator // _gcd_int(den, x.denominator)
-    ints = [int(Fraction(x) * den) for x in coeffs]
-    return tuple(ints[:-1]), ints[-1], den
 
 
 def _tight_set(points, heights, aff):
@@ -153,29 +153,10 @@ def _hyperplane_normal(points) -> Optional[tuple]:
         return (1,)
     base = points[0]
     rows = [[Fraction(p[i] - base[i]) for i in range(g)] for p in points[1:]]
-    mat = RatMatrix(rows)
-    if rank(mat) != g - 1:
-        return None
-    sol = solve_exact(mat, [Fraction(0)] * (g - 1))
-    kernel = sol.kernel
+    kernel = solve_exact(RatMatrix(rows), [Fraction(0)] * (g - 1)).kernel
     if len(kernel) != 1:
         return None
-    vec = kernel[0]
-    den = 1
-    for x in vec:
-        den = den * x.denominator // _gcd_int(den, x.denominator)
-    ints = [int(x * den) for x in vec]
-    gg = 0
-    for x in ints:
-        gg = _gcd_int(gg, x)
-    return tuple(x // gg for x in ints)
-
-
-def _gcd_int(a, b):
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
+    return primitive(kernel[0])[0]
 
 
 def _ellipsoid_inside_window(qf: QuadForm, aff, r: int) -> bool:
@@ -247,10 +228,7 @@ def delone_subdivision(q: QuadForm, window_radius: Optional[int] = None) -> Peri
 
     # the subdivision only depends on Q up to positive scaling, so clear
     # denominators once and run the whole hull walk in integer arithmetic
-    den = 1
-    for row in q.matrix.data:
-        for x in row:
-            den = den * x.denominator // _gcd_int(den, x.denominator)
+    _, den = clear_denominators([x for row in q.matrix.data for x in row])
     qi = q.scale(den)
     points = _window_points(g, r)
     heights = {p: int(qi(p)) for p in points}
@@ -266,8 +244,8 @@ def delone_subdivision(q: QuadForm, window_radius: Optional[int] = None) -> Peri
         verts = sorted(tight)
         if not _ellipsoid_inside_window(qi, aff, r):
             raise WindowError(
-                "a cell near the origin is not certified by this window; "
-                "raise the window radius"
+                f"a cell near the origin is not certified by the window of "
+                f"radius {r}; raise the window radius"
             )
         if _cell_meets_box(verts, 0, 1):
             keep.add(normalize_cell(verts))
@@ -277,7 +255,8 @@ def delone_subdivision(q: QuadForm, window_radius: Optional[int] = None) -> Peri
             nxt = _cross_facet(points, heights, aff, normal, beta)
             if nxt is None:
                 raise WindowError(
-                    "no neighbor found inside the window; raise the window radius"
+                    f"no neighbor found inside the window of radius {r}; "
+                    "raise the window radius"
                 )
             naff, ntight = nxt
             if ntight not in seen_tight:
@@ -309,10 +288,8 @@ def _cross_facet(points, heights, aff, normal, beta):
     new_den = den * best_ell
     new_avec = tuple(avec[i] * best_ell + best_num * normal[i] for i in range(g))
     new_c = c * best_ell - best_num * beta
-    gg = _gcd_int(new_den, new_c)
-    for x in new_avec:
-        gg = _gcd_int(gg, x)
-    naff = (tuple(x // gg for x in new_avec), new_c // gg, new_den // gg)
+    *navec, nc, nden = primitive((*new_avec, new_c, new_den))[0]
+    naff = (tuple(navec), nc, nden)
     return naff, _tight_set(points, heights, naff)
 
 
@@ -417,7 +394,9 @@ def dicing_subdivision(a: TUMatrix, window_radius: Optional[int] = None) -> Peri
             if _affine_rank(pts) != g:
                 continue
             if not bound_check(ks):
-                raise WindowError("dicing cell leaves the window; raise the radius")
+                raise WindowError(
+                    f"dicing cell leaves the window of radius {r}; raise the radius"
+                )
         else:
             if not _region_full_dimensional(cols, ks, g):
                 continue
@@ -498,10 +477,7 @@ def _region_vertices(cols, ks, g):
         constraints.append((tuple(-x for x in v), Fraction(-(k + 1))))
     verts = set()
     for sub in combinations(range(len(constraints)), g):
-        rows = [list(constraints[i][0]) for i in sub]
-        mat = RatMatrix([[Fraction(x) for x in row] for row in rows])
-        if rank(mat) != g:
-            continue
+        mat = RatMatrix([[Fraction(x) for x in constraints[i][0]] for i in sub])
         sol = solve_exact(mat, [constraints[i][1] for i in sub])
         if sol is None or sol.kernel:
             continue
@@ -601,25 +577,16 @@ def voronoi_polytope(q: QuadForm, radius: int = 3) -> VPolytope:
     for v in product(range(-radius, radius + 1), repeat=g):
         if all(x == 0 for x in v):
             continue
-        key = _canon(v)
+        key = canonical_sign(v)
         if key in seen:
             continue
         seen.add(key)
         if _is_relevant(q, key):
             qv = q.matrix.mul_vector([Fraction(x) for x in key])
-            normal = [2 * x for x in qv]
-            den = 1
-            for x in normal:
-                den = den * x.denominator // _gcd_int(den, x.denominator)
-            ints = [int(x * den) for x in normal]
-            gg = 0
-            for x in ints:
-                gg = _gcd_int(gg, x)
-            scale = Fraction(1, den) * gg
-            beta = q(key) / scale
-            hs = (tuple(x // gg for x in ints), beta)
-            halfspaces.append(hs)
-            halfspaces.append((tuple(-x for x in hs[0]), beta))
+            normal, s = primitive([2 * x for x in qv])
+            beta = q(key) * s
+            halfspaces.append((normal, beta))
+            halfspaces.append((tuple(-x for x in normal), beta))
     halfspaces = _remove_redundant(halfspaces, g)
     verts = _halfspace_vertices(halfspaces, g)
     # completeness certificate.  Every found halfspace is a valid constraint
@@ -644,13 +611,6 @@ def voronoi_polytope(q: QuadForm, radius: int = 3) -> VPolytope:
                     "facet search radius too small for this form; raise it"
                 )
     return VPolytope(g, tuple(sorted(halfspaces)), tuple(sorted(verts)))
-
-
-def _canon(v):
-    for x in v:
-        if x != 0:
-            return tuple(v) if x > 0 else tuple(-y for y in v)
-    return tuple(v)
 
 
 def _is_relevant(q: QuadForm, v) -> bool:
@@ -693,10 +653,7 @@ def _halfspace_vertices(halfspaces, g):
     verts = set()
     for sub in combinations(range(len(halfspaces)), g):
         rows = [[Fraction(x) for x in halfspaces[i][0]] for i in sub]
-        mat = RatMatrix(rows)
-        if rank(mat) != g:
-            continue
-        sol = solve_exact(mat, [halfspaces[i][1] for i in sub])
+        sol = solve_exact(RatMatrix(rows), [halfspaces[i][1] for i in sub])
         if sol is None or sol.kernel:
             continue
         x = sol.x
@@ -721,17 +678,10 @@ def _degenerate_voronoi(q: QuadForm, radius: int) -> VPolytope:
     halfspaces = []
     for a, b in inner.halfspaces:
         full = [Fraction(x) for x in a] + [Fraction(0)] * (g - qp.g)
-        n = hinv.mul_vector(full)  # pull back through y = (h^t)^-1 x
-        den = 1
-        for x in n:
-            den = den * x.denominator // _gcd_int(den, x.denominator)
-        ints = [int(x * den) for x in n]
-        gg = 0
-        for x in ints:
-            gg = _gcd_int(gg, x)
-        if gg == 0:
-            continue
-        halfspaces.append((tuple(x // gg for x in ints), b * den / gg))
+        # pull back through y = (h^t)^-1 x
+        normal, s = primitive(hinv.mul_vector(full))
+        if any(normal):
+            halfspaces.append((normal, b * s))
     return VPolytope(g, tuple(sorted(halfspaces)), tuple(sorted(verts)))
 
 

@@ -8,6 +8,7 @@ floating point anywhere in this package's computational core.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
@@ -102,6 +103,30 @@ class _BaseMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
+    @classmethod
+    def identity(cls, n: int):
+        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+
+    @classmethod
+    def zeros(cls, rows: int, cols: int):
+        return cls(tuple(tuple(0 for _ in range(cols)) for _ in range(rows)))
+
+    def mul(self, other):
+        if self.cols != other.rows:
+            raise DimensionError("inner dimensions do not match")
+        ot = list(zip(*other.data))
+        return type(self)(
+            tuple(
+                tuple(sum(a * b for a, b in zip(row, col)) for col in ot)
+                for row in self.data
+            )
+        )
+
+    def mul_vector(self, v: Sequence) -> tuple:
+        if self.cols != len(v):
+            raise DimensionError("vector length does not match")
+        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.data)
+
 
 class IntMatrix(_BaseMatrix):
     """Dense matrix over the integers."""
@@ -118,30 +143,6 @@ class IntMatrix(_BaseMatrix):
                 return int(f)
         raise TypeError(f"IntMatrix entries must be integers, got {x!r}")
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(tuple(tuple(0 for _ in range(cols)) for _ in range(rows)))
-
-    def mul(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise DimensionError("inner dimensions do not match")
-        ot = list(zip(*other.data))
-        return IntMatrix(
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in ot)
-                for row in self.data
-            )
-        )
-
-    def mul_vector(self, v: Sequence[int]) -> tuple:
-        if self.cols != len(v):
-            raise DimensionError("vector length does not match")
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.data)
-
     def to_rational(self) -> "RatMatrix":
         return RatMatrix(self.data)
 
@@ -155,30 +156,6 @@ class RatMatrix(_BaseMatrix):
     @staticmethod
     def _coerce(x):
         return _to_fraction(x)
-
-    @classmethod
-    def identity(cls, n: int) -> "RatMatrix":
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "RatMatrix":
-        return cls(tuple(tuple(0 for _ in range(cols)) for _ in range(rows)))
-
-    def mul(self, other: "RatMatrix") -> "RatMatrix":
-        if self.cols != other.rows:
-            raise DimensionError("inner dimensions do not match")
-        ot = list(zip(*other.data))
-        return RatMatrix(
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in ot)
-                for row in self.data
-            )
-        )
-
-    def mul_vector(self, v: Sequence[Fraction]) -> tuple:
-        if self.cols != len(v):
-            raise DimensionError("vector length does not match")
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.data)
 
     def scale(self, c) -> "RatMatrix":
         c = _to_fraction(c)
@@ -244,21 +221,9 @@ def determinant(a: Union[IntMatrix, RatMatrix]) -> Fraction:
     if isinstance(a, IntMatrix):
         return Fraction(_bareiss_int_det(list(a.data)))
     # clear denominators row by row, keep the combined scale
-    scale = Fraction(1)
-    int_rows = []
-    for row in a.data:
-        den = 1
-        for x in row:
-            den = den * x.denominator // _gcd(den, x.denominator)
-        scale *= den
-        int_rows.append(tuple(int(x * den) for x in row))
-    return Fraction(_bareiss_int_det(int_rows)) / scale
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
+    cleared = [clear_denominators(row) for row in a.data]
+    scale = math.prod(den for _, den in cleared)
+    return Fraction(_bareiss_int_det([ints for ints, _ in cleared]), scale)
 
 
 def int_determinant(rows: Sequence[Sequence[int]]) -> int:
@@ -314,28 +279,41 @@ def hermite_normal_form(a: IntMatrix):
     return IntMatrix(h), IntMatrix(u)
 
 
-def rank(a: Union[IntMatrix, RatMatrix]) -> int:
-    """Rank over the rationals."""
-    if a.rows == 0:
-        return 0
-    m = [[Fraction(x) for x in row] for row in a.data]
-    rows, cols = len(m), len(m[0])
-    r = 0
+# ---------------------------------------------------------------------------
+# Gauss-Jordan elimination: the one row step, and the reduction built on it
+
+
+def _pivot(m: list, r: int, c: int) -> None:
+    """Scale row r of the list-of-rows m to a unit pivot in column c, then
+    clear column c from every other row (the simplex tableau uses it too)."""
+    inv = 1 / m[r][c]
+    prow = m[r] = [x * inv for x in m[r]]
+    for i, row in enumerate(m):
+        if i != r and row[c] != 0:
+            f = row[c]
+            m[i] = [x - f * y for x, y in zip(row, prow)]
+
+
+def _rref(m: list, cols: int) -> list:
+    """Reduce m in place to reduced row echelon form on its first `cols`
+    columns (later columns ride along); return the pivot columns."""
+    pivots = []
     for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        r = len(pivots)
+        if r == len(m):
+            break
+        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        r += 1
-        if r == rows:
-            break
-    return r
+        _pivot(m, r, c)
+        pivots.append(c)
+    return pivots
+
+
+def rank(a: Union[IntMatrix, RatMatrix]) -> int:
+    """Rank over the rationals."""
+    return len(_rref([[Fraction(x) for x in row] for row in a.data], a.cols))
 
 
 # ---------------------------------------------------------------------------
@@ -349,14 +327,28 @@ class LinearSolution(NamedTuple):
     kernel: tuple
 
 
-def canonical_sign(v: Sequence[Fraction]):
-    """Flip the vector so its first nonzero entry is positive."""
+def canonical_sign(v: Sequence):
+    """Flip the vector (ints or Fractions) so its first nonzero entry is positive."""
     for x in v:
         if x != 0:
             if x < 0:
                 return tuple(-y for y in v)
             return tuple(v)
     return tuple(v)
+
+
+def clear_denominators(v: Sequence) -> tuple:
+    """(ints, den): the least positive integer den with ints = den * v integral."""
+    den = math.lcm(*(x.denominator for x in v))
+    return tuple(x.numerator * (den // x.denominator) for x in v), den
+
+
+def primitive(v: Sequence) -> tuple:
+    """(ints, s): the positive rational s with ints = s * v a primitive
+    integer vector.  The zero vector returns itself with s = 1."""
+    ints, den = clear_denominators(v)
+    g = math.gcd(*ints) or 1
+    return tuple(x // g for x in ints), Fraction(den, g)
 
 
 def solve_exact(a: RatMatrix, b: Sequence[Entry]) -> Optional[LinearSolution]:
@@ -368,28 +360,11 @@ def solve_exact(a: RatMatrix, b: Sequence[Entry]) -> Optional[LinearSolution]:
     """
     if a.rows != len(b):
         raise DimensionError("right-hand side length does not match")
-    rows, cols = a.rows, a.cols
+    cols = a.cols
     m = [[Fraction(x) for x in row] + [_to_fraction(bi)] for row, bi in zip(a.data, b)]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if m[i][cols] != 0:
-            return None
+    pivots = _rref(m, cols)
+    if any(row[cols] != 0 for row in m[len(pivots):]):
+        return None
     x = [Fraction(0)] * cols
     for i, c in enumerate(pivots):
         x[c] = m[i][cols]
@@ -411,17 +386,8 @@ def invert(a: Union[IntMatrix, RatMatrix]) -> RatMatrix:
     n = a.rows
     m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
          for i, row in enumerate(a.data)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        m[c], m[piv] = m[piv], m[c]
-        inv = 1 / m[c][c]
-        m[c] = [x * inv for x in m[c]]
-        for i in range(n):
-            if i != c and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    if len(_rref(m, n)) < n:
+        raise ValueError("matrix is singular")
     return RatMatrix(tuple(tuple(row[n:]) for row in m))
 
 

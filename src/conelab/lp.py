@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .exact import RatMatrix, solve_exact
+from .exact import RatMatrix, _pivot as _gauss_jordan_step, solve_exact
 
 _ZERO = Fraction(0)
 _BLAND_TRIGGER = 12  # consecutive degenerate pivots before switching rule
@@ -27,14 +27,7 @@ class StandardResult(NamedTuple):
 
 
 def _pivot(tab, basis, row, col):
-    piv = tab[row][col]
-    inv = 1 / piv
-    tab[row] = [x * inv for x in tab[row]]
-    prow = tab[row]
-    for i, r in enumerate(tab):
-        if i != row and r[col] != 0:
-            f = r[col]
-            tab[i] = [x - f * y for x, y in zip(r, prow)]
+    _gauss_jordan_step(tab, row, col)
     basis[row] = col
 
 

@@ -195,12 +195,6 @@ def parse_graph(text: str) -> Graph:
     return Graph(v, tuple(edges))
 
 
-def format_graph(g: Graph) -> str:
-    lines = [f"{g.num_vertices} {len(g.edges)}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges)
-    return "\n".join(lines) + "\n"
-
-
 def complete_graph(n: int) -> Graph:
     """K_n with edges to the last vertex first, then the remaining pairs.
 

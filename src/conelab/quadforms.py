@@ -19,6 +19,7 @@ from .exact import (
     IntMatrix,
     RatMatrix,
     canonical_sign,
+    clear_denominators,
     hermite_normal_form,
     ldlt_decompose,
 )
@@ -83,12 +84,8 @@ def rational_rank_normal_form(q: QuadForm):
         return IntMatrix.identity(q.g), q
     # integer-scaled copy shares the kernel; its row HNF transform puts the
     # kernel rows (over Z, a basis of Z^g) at the bottom
-    den = 1
-    for row in q.matrix.data:
-        for x in row:
-            den = den * x.denominator // math.gcd(den, x.denominator)
-    qi = IntMatrix([[int(x * den) for x in row] for row in q.matrix.data])
-    h_mat, u = hermite_normal_form(qi)
+    _, den = clear_denominators([x for row in q.matrix.data for x in row])
+    h_mat, u = hermite_normal_form(q.scale(den).matrix.to_integer())
     r = sum(1 for row in h_mat.data if any(x != 0 for x in row))
     conj = q.conjugate(u)
     for i in range(q.g):
@@ -181,10 +178,6 @@ class MinimalVectorSet:
         }
 
 
-def _canonical_int(v) -> tuple:
-    return tuple(int(x) for x in canonical_sign([Fraction(x) for x in v]))
-
-
 def minimal_vectors(q: QuadForm) -> MinimalVectorSet:
     """Exact minimum over Z^g - {0} and all vectors attaining it."""
     if not is_positive_definite(q):
@@ -193,7 +186,7 @@ def minimal_vectors(q: QuadForm) -> MinimalVectorSet:
     hits = [(v, val) for v, val in enumerate_in_ellipsoid(q.matrix, start)
             if any(x != 0 for x in v)]
     mu = min(val for _, val in hits)
-    vecs = sorted({_canonical_int(v) for v, val in hits if val == mu})
+    vecs = sorted({canonical_sign(v) for v, val in hits if val == mu})
     return MinimalVectorSet(mu, tuple(vecs))
 
 
@@ -218,14 +211,14 @@ def is_well_suited(q: QuadForm, a: TUMatrix) -> bool:
         raise ValueError("well-suitedness is defined against a simple matrix")
     if not is_positive_definite(q):
         return False
-    cols = {_canonical_int(c) for c in m.columns()}
+    cols = {canonical_sign(c) for c in m.columns()}
     on_sphere = set()
     for v, val in enumerate_in_ellipsoid(q.matrix, Fraction(1)):
         if all(x == 0 for x in v):
             continue
         if val < 1:
             return False
-        on_sphere.add(_canonical_int(v))
+        on_sphere.add(canonical_sign(v))
     return on_sphere == cols
 
 

@@ -31,7 +31,7 @@ from .delone import (
     secondary_cone_check,
     subdivisions_equal,
 )
-from .exact import IntMatrix, RatMatrix
+from .exact import IntMatrix, RatMatrix, canonical_sign
 from .matroids import complete_graph, graphic_representation
 from .quadforms import (
     QuadForm,
@@ -133,10 +133,6 @@ def _timed(fn):
     return wrapper
 
 
-def _vecset(vs) -> str:
-    return "{" + ", ".join("(" + ",".join(str(x) for x in v) + ")" for v in sorted(vs)) + "}"
-
-
 # ---------------------------------------------------------------------------
 # scenario: the rank-5 ten-element certificate
 
@@ -168,8 +164,7 @@ def verify_r10(a10: Optional[IntMatrix] = None,
     )
     mv = minimal_vectors(qq)
     es, fs, gs, hs = q5_families()
-    fam = {tuple(v) if v[_first_nonzero(v)] > 0 else tuple(-x for x in v)
-           for v in (*es, *fs, *gs, *hs)}
+    fam = {canonical_sign(v) for v in (*es, *fs, *gs, *hs)}
     rep.add(
         "minimum 2 with the 20 cyclic-family vectors (up to sign)",
         (mv.minimum, len(mv.vectors), set(mv.vectors) == fam),
@@ -210,13 +205,6 @@ def verify_r10(a10: Optional[IntMatrix] = None,
     return rep
 
 
-def _first_nonzero(v):
-    for i, x in enumerate(v):
-        if x != 0:
-            return i
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # scenario: principal cone identities
 
@@ -234,7 +222,7 @@ def verify_principal(g: int, samples: int = 100, seed: int = DEFAULT_SEED) -> Re
     cone = sigma_of_matrix(akt)
 
     mv = minimal_vectors(q0)
-    cols = {_canon(c) for c in ak.columns()}
+    cols = {canonical_sign(c) for c in ak.columns()}
     rep.add(
         "minimal vectors equal the complete-graph columns (up to sign)",
         (mv.minimum, set(mv.vectors) == cols),
@@ -284,13 +272,6 @@ def verify_principal(g: int, samples: int = 100, seed: int = DEFAULT_SEED) -> Re
         "derived: violator spot check",
     )
     return rep
-
-
-def _canon(v):
-    for x in v:
-        if x != 0:
-            return tuple(v) if x > 0 else tuple(-y for y in v)
-    return tuple(v)
 
 
 def _combo(cone: RayCone, lam) -> QuadForm:
@@ -577,15 +558,3 @@ def verify_dicings(samples: int = 5, seed: int = DEFAULT_SEED) -> Report:
         )
     return rep
 
-
-SCENARIOS = {
-    "r10": lambda seed, samples: verify_r10(seed=seed),
-    "principal": None,  # needs g; handled by the CLI
-    "taxonomy-g2": lambda seed, samples: verify_taxonomy_g2(seed=seed),
-    "seymour": lambda seed, samples: verify_seymour_pipeline(
-        samples=samples or 200, seed=seed
-    ),
-    "dicings": lambda seed, samples: verify_dicings(
-        samples=samples or 5, seed=seed
-    ),
-}

@@ -1,4 +1,7 @@
 import json
+from pathlib import Path
+
+import pytest
 
 from conelab.cli import OPERATION_COVERAGE, build_parser, run
 
@@ -237,3 +240,42 @@ def test_every_operation_is_reachable():
         assert OPERATION_COVERAGE[op], f"operation {op} has no subcommand"
         for cmd in OPERATION_COVERAGE[op]:
             assert command_exists(cmd), f"{cmd} (for {op}) does not exist"
+
+
+def test_window_failure_is_a_window_error(capsys, tmp_path):
+    # a valid PSD boundary form of AK4 whose cells the default window cannot
+    # certify: the failure is the window's, not the input's
+    p = tmp_path / "ak4_boundary.txt"
+    p.write_text("3 3\n13/4 0 -7/4\n0 0 0\n-7/4 0 7/4\n")
+    code, out, err = _cap(capsys, ["delone", str(p)])
+    assert code == 2 and out == ""
+    assert err.startswith("window error:") and "input error" not in err
+    assert "radius 3" in err and "--window" in err
+
+
+# Byte-level regression guard: stdout and exit code of each command, as
+# recorded in tests/golden/<name>.txt (first line "exit <code>", then the
+# JSON line exactly as printed).  `verify dicings` is left out for its
+# run time; the acceptance suite covers it.
+GOLDEN = {
+    "mat_solve_Q5": ["mat", "solve", "Q5.txt", "--rhs", "1,2,3,4,5"],
+    "qf_minvec_Q5": ["qf", "minvec", "Q5.txt"],
+    "qf_rank_normal_Q0_3": ["qf", "rank-normal", "Q0_3.txt"],
+    "delone_QHEX": ["delone", "QHEX.txt"],
+    "delone_I3": ["delone", "I3.txt"],
+    "dicing_AK4": ["dicing", "AK4.txt"],
+    "vor_Q0_3": ["vor", "Q0_3.txt"],
+    "cone_of_matrix_AK3": ["cone", "of-matrix", "AK3.txt"],
+    "tu_witness_A10": ["tu", "witness", "A10.txt"],
+    "verify_r10": ["verify", "r10"],
+    "verify_taxonomy_g2": ["verify", "taxonomy-g2"],
+    "verify_principal_g3": ["verify", "principal", "--g", "3"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_json_output_matches_golden(capsys, monkeypatch, name):
+    monkeypatch.delenv("CONELAB_SEED", raising=False)  # goldens use the default seed
+    code, out, _ = _cap(capsys, ["--format", "json"] + GOLDEN[name])
+    golden = (Path(__file__).parent / "golden" / f"{name}.txt").read_text()
+    assert f"exit {code}\n{out}" == golden

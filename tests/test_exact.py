@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 from itertools import product
@@ -8,12 +9,15 @@ from conelab.exact import (
     DimensionError,
     IntMatrix,
     RatMatrix,
+    clear_denominators,
     determinant,
     format_matrix,
     hermite_normal_form,
+    invert,
     ldlt_decompose,
     parse_int_matrix,
     parse_matrix,
+    primitive,
     rank,
     solve_exact,
 )
@@ -107,6 +111,40 @@ def test_solve_exact_roundtrip_random():
         for k in sol.kernel:
             assert a.mul_vector(k) == tuple([F(0)] * rows)
         assert len(sol.kernel) == cols - rank(a)
+    # the same elimination inverts square draws and rejects singular ones
+    # (decided independently by the Bareiss determinant); a row of each
+    # draw feeds the integer-vector helpers
+    singular = nonsingular = 0
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        a = RatMatrix([[F(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(n)]
+                       for _ in range(n)])
+        if determinant(a) == 0:
+            singular += 1
+            with pytest.raises(ValueError, match="matrix is singular"):
+                invert(a)
+        else:
+            nonsingular += 1
+            assert invert(a).mul(a) == RatMatrix.identity(n)
+        v = a.row(0)
+        ints, den = clear_denominators(v)
+        assert ints == tuple(den * x for x in v)
+        assert all(any((d * x).denominator != 1 for x in v) for d in range(1, den))
+        p, s = primitive(v)
+        assert s > 0 and p == tuple(s * x for x in v)
+        assert math.gcd(*p) == (1 if any(v) else 0)
+    assert singular and nonsingular
+    # edge inputs: 0 x n matrices, the zero vector, int tuples, negatives
+    for n in (1, 3):
+        empty = RatMatrix((), cols=n)
+        assert rank(empty) == 0
+        assert len(solve_exact(empty, []).kernel) == n
+    assert clear_denominators((F(0), F(0))) == ((0, 0), 1)
+    assert primitive((F(0), F(0))) == ((0, 0), 1)
+    assert clear_denominators((3, -5)) == ((3, -5), 1)
+    assert primitive((4, -6, 10)) == ((2, -3, 5), F(1, 2))
+    assert clear_denominators((F(-1, 2), F(3, 4))) == ((-2, 3), 4)
+    assert primitive((F(-2, 3), F(4, 9))) == ((-3, 2), F(9, 2))
 
 
 def test_ldlt_examples():
