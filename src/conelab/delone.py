@@ -1,11 +1,15 @@
 """Windowed Delone subdivisions, hyperplane dicings, and Voronoi polytopes.
 
 The infinite periodic objects are computed inside a finite lattice window
-[-R, R+1]^g.  Every returned cell carries an exact certificate that the
-window was large enough: the cell's circumscribed ellipsoid (the region
-below its supporting hyperplane after lifting) fits strictly inside the
-window, so no lattice point outside the window could change it.  All
-predicates are rational; orientation and hull decisions are exact.
+[-R, R+1]^g.  Every translation class of cells has a member with a vertex
+at the origin, so only the star of the origin (the cells containing it) is
+computed: the Delone hull walk crosses only facets through the origin, and
+a full-rank dicing takes only the chambers of the central arrangement.
+Every star cell carries an exact certificate that the window was large
+enough: the cell's circumscribed ellipsoid (the region below its
+supporting hyperplane after lifting) fits strictly inside the window, so
+no lattice point outside the window could change it.  All predicates are
+rational; orientation and hull decisions are exact.
 """
 
 from __future__ import annotations
@@ -51,7 +55,12 @@ def normalize_cell(points) -> tuple:
 
 @dataclass(frozen=True)
 class PeriodicSubdivision:
-    """Translation classes of the cells meeting the central unit cube."""
+    """Translation classes of the cells meeting the central unit cube.
+
+    Each class has a member with a vertex at the origin, so the classes are
+    the normalized cells of the star of the origin; only those cells need a
+    window certificate.
+    """
 
     g: int
     window_radius: int
@@ -84,26 +93,26 @@ def _window_points(g: int, r: int):
     return [tuple(p) for p in product(range(-r, r + 2), repeat=g)]
 
 
-def _locate_cell(points, heights, q):
-    """Lower-hull facet whose projection contains q: supporting affine map.
+def _locate_cell(points, heights):
+    """A lower-hull facet through the origin: its supporting affine map.
 
-    Solves min sum(lam_x * Q(x)) with sum(lam_x * (x,1)) = (q,1), lam >= 0.
-    The optimal dual is an affine function h with h <= Q on all window
-    points and h(q) maximal; its tight set spans a full-dimensional cell.
-    Heights must be integers; the returned affine map is in the integer
-    representation (avec, c, den) standing for (avec.x + c)/den.
+    Starts from h = 0, which touches the lifted lattice only at the origin
+    because Q > 0, and rotates h about a linear functional vanishing on the
+    tight set.  Each rotation keeps h <= Q on the window and adds a tight
+    point outside the span of the tight set, so after at most g rotations
+    the tight set spans a full-dimensional cell containing 0.  Heights must
+    be integers; the affine map is in the integer representation
+    (avec, c, den) standing for (avec.x + c)/den.
     """
-    g = len(q)
-    cost = [Fraction(heights[p]) for p in points]
-    a_eq = [[Fraction(p[i]) for p in points] for i in range(g)]
-    a_eq.append([Fraction(1)] * len(points))
-    b_eq = [Fraction(x) for x in q] + [Fraction(1)]
-    res = solve_standard_min(cost, a_eq, b_eq)
-    if res.status != "optimal":
-        raise WindowError("query point outside the window hull; raise the window")
-    ints, den = clear_denominators(res.duals)
-    aff = (ints[:-1], ints[-1], den)
-    return aff, _tight_set(points, heights, aff)
+    g = len(points[0])
+    origin = (0,) * g
+    aff, tight = (origin, 0, 1), frozenset({origin})
+    while True:
+        rows = RatMatrix([[Fraction(x) for x in p] for p in tight])
+        kernel = solve_exact(rows, [Fraction(0)] * len(tight)).kernel
+        if not kernel:
+            return aff, tight
+        aff, tight = _cross_facet(points, heights, aff, primitive(kernel[0])[0])
 
 
 def _tight_set(points, heights, aff):
@@ -213,9 +222,12 @@ def delone_subdivision(q: QuadForm, window_radius: Optional[int] = None) -> Peri
     """Translation classes of the Delone cells meeting the central unit cube.
 
     Lattice points are lifted by their Q-value; the cells are the projected
-    lower-hull facets.  Positive semi-definite forms are handled through
-    the rank normal form (cells become lattice-point sets of unbounded
-    polyhedra clipped to the window); indefinite forms are rejected.
+    lower-hull facets.  The walk covers the star of the origin: it starts
+    from a cell containing 0 and crosses only facets through 0, and every
+    visited cell is certified by the window.  Positive semi-definite forms
+    are handled through the rank normal form (cells become lattice-point
+    sets of unbounded polyhedra clipped to the window); indefinite forms
+    are rejected.
     """
     g = q.g
     r = default_window(g) if window_radius is None else window_radius
@@ -232,13 +244,12 @@ def delone_subdivision(q: QuadForm, window_radius: Optional[int] = None) -> Peri
     qi = q.scale(den)
     points = _window_points(g, r)
     heights = {p: int(qi(p)) for p in points}
-    center = tuple(Fraction(1, 2) for _ in range(g))
-    aff0, tight0 = _locate_cell(points, heights, center)
+    aff0, tight0 = _locate_cell(points, heights)
 
-    margin = Fraction(1, 4)
     keep = set()
     queue = [(aff0, tight0)]
     seen_tight = {tight0}
+    crossed = set()  # vertex sets of the facets already crossed
     while queue:
         aff, tight = queue.pop()
         verts = sorted(tight)
@@ -247,47 +258,44 @@ def delone_subdivision(q: QuadForm, window_radius: Optional[int] = None) -> Peri
                 f"a cell near the origin is not certified by the window of "
                 f"radius {r}; raise the window radius"
             )
-        if _cell_meets_box(verts, 0, 1):
-            keep.add(normalize_cell(verts))
-        if not _cell_meets_box(verts, -margin, 1 + margin):
-            continue
+        keep.add(normalize_cell(verts))
         for normal, beta in _facets_of_cell(verts):
-            nxt = _cross_facet(points, heights, aff, normal, beta)
-            if nxt is None:
-                raise WindowError(
-                    f"no neighbor found inside the window of radius {r}; "
-                    "raise the window radius"
-                )
-            naff, ntight = nxt
+            if beta != 0:
+                continue
+            facet = frozenset(v for v in verts if _dot(normal, v) == 0)
+            if facet in crossed:
+                continue
+            crossed.add(facet)
+            naff, ntight = _cross_facet(points, heights, aff, normal)
             if ntight not in seen_tight:
                 seen_tight.add(ntight)
                 queue.append((naff, ntight))
     return PeriodicSubdivision(g, r, frozenset(keep))
 
 
-def _cross_facet(points, heights, aff, normal, beta):
-    """Rotate the supporting hyperplane around a facet to the adjacent cell.
+def _cross_facet(points, heights, aff, normal):
+    """Rotate h about ell(x) = normal.x, which vanishes on a facet through 0.
 
-    All-integer inner loop: with h = (a.x + c)/den, the pivot parameter is
+    The new tight set is the adjacent cell across that facet.  All-integer
+    inner loop: with h = (a.x + c)/den, the pivot parameter is
     t = (den*Q(p) - a.p - c) / (den * ell(p)) and only the ratio ordering
-    matters, so candidates compare by integer cross-multiplication.
+    matters, so candidates compare by integer cross-multiplication.  Some
+    unit vector of the window always has ell > 0.
     """
     avec, c, den = aff
     best_num = best_ell = None
     for p in points:
-        ell = sum(n * x for n, x in zip(normal, p)) - beta
+        ell = _dot(normal, p)
         if ell <= 0:
             continue
         gap = heights[p] * den - (sum(a * x for a, x in zip(avec, p)) + c)
         if best_num is None or gap * best_ell < best_num * ell:
             best_num, best_ell = gap, ell
-    if best_num is None:
-        return None
     # h' = h + t * ell with t = best_num / (den * best_ell)
     g = len(normal)
     new_den = den * best_ell
     new_avec = tuple(avec[i] * best_ell + best_num * normal[i] for i in range(g))
-    new_c = c * best_ell - best_num * beta
+    new_c = c * best_ell
     *navec, nc, nden = primitive((*new_avec, new_c, new_den))[0]
     naff = (tuple(navec), nc, nden)
     return naff, _tight_set(points, heights, naff)
@@ -307,6 +315,7 @@ def _degenerate_delone(q: QuadForm, r: int) -> PeriodicSubdivision:
     # y = (h^t)^-1 x splits into (y', y''); a cell is the preimage of an
     # inner cell under x -> y'.  Collect lattice points per class.
     hinv_t = invert(h.to_rational()).transpose()
+    proj = [(p, _project_first(hinv_t, p, gp)) for p in points]
     cells = set()
     inner_cells = inner.cells
     # scan integer translates of every inner class and keep the pullbacks
@@ -316,8 +325,7 @@ def _degenerate_delone(q: QuadForm, r: int) -> PeriodicSubdivision:
         span = r + 1
         for shift in product(range(-span, span + 1), repeat=gp):
             translated = {tuple(v + s for v, s in zip(p, shift)) for p in cellset}
-            pts = [p for p in points
-                   if _project_first(hinv_t, p, gp) in translated]
+            pts = [p for p, y in proj if y in translated]
             if not pts:
                 continue
             if _cell_meets_box(pts, 0, 1):
@@ -344,10 +352,14 @@ def dicing_subdivision(a: TUMatrix, window_radius: Optional[int] = None) -> Peri
 
     Each column v contributes the hyperplane family {v.x = k, k integer}.
     Unimodularity of the matrix makes every lattice point lie on a plane of
-    every family, so a full-rank cell is recovered from any one of its
-    lattice points by choosing, per family, one of the two slabs around it;
-    candidates are generated that way and validated exactly.  Cells meeting
-    the central unit cube are returned.
+    every family, so a cell is recovered from any one of its lattice points
+    by choosing, per family, one of the two slabs around it.  For a
+    full-rank matrix every class has a member with a vertex at the origin,
+    so the classes are the chambers of the central arrangement (slabs
+    k in {-1, 0} per column), each certified to lie inside the window.  In
+    the rank-deficient case the cells are unbounded and clipped to the
+    window, and the clipped cells meeting the central unit cube are
+    returned.
     """
     from .tumatrix import is_unimodular
 
@@ -360,8 +372,24 @@ def dicing_subdivision(a: TUMatrix, window_radius: Optional[int] = None) -> Peri
         raise ValueError("dicing requires a unimodular matrix")
     cols = [tuple(c) for c in m.columns()]
     points = _window_points(g, r)
-    full_rank = rank(m) == g
     dots = {p: tuple(_dot(v, p) for v in cols) for p in points}
+
+    cells = set()
+    if rank(m) == g:
+        bound_check = _slab_bound_checker(m, cols, g, r)
+        near = [p for p in points if all(-1 <= d <= 1 for d in dots[p])]
+        for ks in product((-1, 0), repeat=len(cols)):
+            pts = [p for p in near
+                   if all(k <= d <= k + 1 for d, k in zip(dots[p], ks))]
+            # full-dimensional iff the lattice points span affinely
+            if _affine_rank(pts) != g:
+                continue
+            if not bound_check(ks):
+                raise WindowError(
+                    f"dicing cell leaves the window of radius {r}; raise the radius"
+                )
+            cells.add(normalize_cell(pts))
+        return PeriodicSubdivision(g, r, frozenset(cells))
 
     # necessary slab ranges for any cell meeting the cube
     cube_lo = [sum(min(0, x) for x in v) for v in cols]
@@ -382,24 +410,13 @@ def dicing_subdivision(a: TUMatrix, window_radius: Optional[int] = None) -> Peri
         for ks in product(*choices):
             candidates.add(ks)
 
-    cells = set()
-    bound_check = _slab_bound_checker(m, cols, g, r) if full_rank else None
     for ks in candidates:
         pts = [p for p in points
                if all(k <= d <= k + 1 for d, k in zip(dots[p], ks))]
         if len(pts) < 2:
             continue
-        if full_rank:
-            # full-dimensional iff the lattice points span affinely
-            if _affine_rank(pts) != g:
-                continue
-            if not bound_check(ks):
-                raise WindowError(
-                    f"dicing cell leaves the window of radius {r}; raise the radius"
-                )
-        else:
-            if not _region_full_dimensional(cols, ks, g):
-                continue
+        if not _region_full_dimensional(cols, ks, g):
+            continue
         if not _cell_meets_box(pts, 0, 1):
             continue
         cells.add(normalize_cell(pts))
@@ -467,28 +484,6 @@ def _region_full_dimensional(cols, ks, g) -> bool:
     res = solve_lp([Fraction(0)] * g + [Fraction(1)],
                    a_ub=a_ub, b_ub=b_ub, maximize=True)
     return res.status == "optimal" and res.objective > 0
-
-
-def _region_vertices(cols, ks, g):
-    """Vertices of the box-like region, each checked to be a lattice point."""
-    constraints = []
-    for v, k in zip(cols, ks):
-        constraints.append((v, Fraction(k)))
-        constraints.append((tuple(-x for x in v), Fraction(-(k + 1))))
-    verts = set()
-    for sub in combinations(range(len(constraints)), g):
-        mat = RatMatrix([[Fraction(x) for x in constraints[i][0]] for i in sub])
-        sol = solve_exact(mat, [constraints[i][1] for i in sub])
-        if sol is None or sol.kernel:
-            continue
-        x = sol.x
-        ok = all(k <= _dot(v, x) <= k + 1 for v, k in zip(cols, ks))
-        if not ok:
-            continue
-        if any(xi.denominator != 1 for xi in x):
-            return None
-        verts.add(tuple(int(xi) for xi in x))
-    return sorted(verts)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
 from conelab.delone import (
-    _region_vertices,
     cells_incident_to_origin,
     delone_subdivision,
     delone_with_window_growth,
@@ -16,9 +16,9 @@ from conelab.delone import (
     subdivisions_equal,
     voronoi_polytope,
 )
-from conelab.exact import IntMatrix, invert
+from conelab.exact import IntMatrix, RatMatrix, invert, solve_exact
 from conelab.fixtures import load_graph, load_int_matrix, load_matrix
-from conelab.matroids import cographic_representation
+from conelab.matroids import cographic_representation, complete_graph, graphic_representation
 from conelab.quadforms import QuadForm
 from conelab.tumatrix import TUMatrix
 
@@ -54,18 +54,38 @@ def test_delone_scaling_invariance():
     )
 
 
+def _mapped_cells(s, h):
+    """Classes of the cells of s mapped pointwise through (h^t)^-1."""
+    hti = invert(h.to_rational().transpose())
+    return {normalize_cell([tuple(int(x) for x in hti.mul_vector([F(v) for v in p]))
+                            for p in cell])
+            for cell in s.cells}
+
+
+def _random_unimodular(rng, steps):
+    rows = [[1, 0], [0, 1]]
+    for _ in range(steps):
+        i, c = rng.randrange(2), rng.choice((-1, 1))
+        rows[i] = [a + c * b for a, b in zip(rows[i], rows[1 - i])]
+        if rng.random() < 0.5:
+            rows[i] = [-a for a in rows[i]]
+    return IntMatrix(rows)
+
+
 def test_delone_gl_equivariance():
     h = IntMatrix([[1, 1], [0, 1]])
     q2 = HEX.conjugate(h)
-    s2 = delone_subdivision(q2)
-    s = delone_subdivision(HEX)
-    # cells map pointwise through (h^t)^-1
-    hti = invert(h.to_rational().transpose())
-    mapped = set()
-    for cell in s.cells:
-        pts = [tuple(int(x) for x in hti.mul_vector([F(v) for v in p])) for p in cell]
-        mapped.add(normalize_cell(pts))
-    assert mapped == set(s2.cells)
+    assert _mapped_cells(delone_subdivision(HEX), h) == set(delone_subdivision(q2).cells)
+
+
+def test_delone_gl_equivariance_random_conjugates():
+    rng = random.Random(11)
+    for q in (HEX, I2):
+        s = delone_subdivision(q)
+        for _ in range(5):
+            h = _random_unimodular(rng, 3)
+            s2, _ = delone_with_window_growth(q.conjugate(h))
+            assert _mapped_cells(s, h) == set(s2.cells)
 
 
 def test_dicing_examples():
@@ -82,11 +102,57 @@ def test_dicing_examples():
     assert xs == {0, 1}  # a vertical strip of width one
 
 
+def test_dicing_classes_do_not_depend_on_the_window():
+    theta = TUMatrix.check(cographic_representation(load_graph("THETA.graph")))
+    for a in (AK3, AK4, TUMatrix.check(IntMatrix.identity(3)), theta):
+        cells = [dicing_subdivision(a, r).cells for r in (2, 3, 4)]
+        assert cells[0] == cells[1] == cells[2]
+
+
+def test_k5_dicing_matches_delone_of_an_interior_form():
+    # the first g = 4 case: 10 columns, 24 classes of simplices
+    a = TUMatrix.check(graphic_representation(complete_graph(5)))
+    cols = a.inner.columns()
+    rng = random.Random(1)
+    lam = [rng.randint(1, 3) for _ in cols]
+    q = QuadForm.from_rows([[sum(l * v[i] * v[j] for l, v in zip(lam, cols))
+                             for j in range(4)] for i in range(4)])
+    sub, r = delone_with_window_growth(q)
+    assert r == 2
+    assert len(sub.cells) == 24
+    assert subdivisions_equal(sub, dicing_subdivision(a, r))
+
+
 def test_dicing_rejects_non_unimodular():
     # the column (2, 0) is primitive-free: no integral row transform makes
     # the matrix totally unimodular
     with pytest.raises(ValueError):
         dicing_subdivision(TUMatrix(IntMatrix([[2], [0]])))
+
+
+def _region_vertices(cols, ks, g):
+    """Vertices of {k <= v.x <= k+1}, from the hyperplanes alone.
+
+    Returns None as soon as a vertex is not a lattice point.
+    """
+    constraints = []
+    for v, k in zip(cols, ks):
+        constraints.append((v, F(k)))
+        constraints.append((tuple(-x for x in v), F(-(k + 1))))
+    verts = set()
+    for sub in combinations(range(len(constraints)), g):
+        mat = RatMatrix([[F(x) for x in constraints[i][0]] for i in sub])
+        sol = solve_exact(mat, [constraints[i][1] for i in sub])
+        if sol is None or sol.kernel:
+            continue
+        x = sol.x
+        if not all(k <= sum(a * b for a, b in zip(v, x)) <= k + 1
+                   for v, k in zip(cols, ks)):
+            continue
+        if any(xi.denominator != 1 for xi in x):
+            return None
+        verts.add(tuple(int(xi) for xi in x))
+    return sorted(verts)
 
 
 def test_dicing_vertices_are_lattice_points():
@@ -163,6 +229,15 @@ def test_window_growth():
     sub, r = delone_with_window_growth(skew)
     assert r >= 3
     assert len(sub.cells) == 2  # still a triangulated type
+
+
+def test_window_growth_sheared_square():
+    # only the star of the origin needs a certificate: radius 5 certifies
+    # the one class of this sheared square lattice
+    q = QuadForm.from_rows([[1, 3], [3, 10]])
+    sub, r = delone_with_window_growth(q)
+    assert r == 5
+    assert sub.cells == frozenset({((0, 0), (1, 0), (3, -1), (4, -1))})
 
 
 def test_voronoi_examples():
