@@ -5,11 +5,12 @@ The infinite periodic objects are computed inside a finite lattice window
 at the origin, so only the star of the origin (the cells containing it) is
 computed: the Delone hull walk crosses only facets through the origin, and
 a full-rank dicing takes only the chambers of the central arrangement.
-Every star cell carries an exact certificate that the window was large
-enough: the cell's circumscribed ellipsoid (the region below its
+Every Delone star cell carries an exact certificate that the window was
+large enough: the cell's circumscribed ellipsoid (the region below its
 supporting hyperplane after lifting) fits strictly inside the window, so
-no lattice point outside the window could change it.  All predicates are
-rational; orientation and hull decisions are exact.
+no lattice point outside the window could change it.  The chambers of a
+full-rank dicing are read off exactly and need no window.  All
+predicates are rational; orientation and hull decisions are exact.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from itertools import combinations, product
 from typing import Optional
 
 from .exact import (
+    IntMatrix,
     RatMatrix,
     canonical_sign,
     clear_denominators,
@@ -356,10 +358,11 @@ def dicing_subdivision(a: TUMatrix, window_radius: Optional[int] = None) -> Peri
     by choosing, per family, one of the two slabs around it.  For a
     full-rank matrix every class has a member with a vertex at the origin,
     so the classes are the chambers of the central arrangement (slabs
-    k in {-1, 0} per column), each certified to lie inside the window.  In
-    the rank-deficient case the cells are unbounded and clipped to the
-    window, and the clipped cells meeting the central unit cube are
-    returned.
+    k in {-1, 0} per column).  Their lattice points are read off
+    exactly, without the window (see _lattice_points_near_origin), so
+    they do not depend on the radius.  In the rank-deficient case the
+    cells are unbounded and clipped to the window, and the clipped cells
+    meeting the central unit cube are returned.
     """
     from .tumatrix import is_unimodular
 
@@ -371,25 +374,21 @@ def dicing_subdivision(a: TUMatrix, window_radius: Optional[int] = None) -> Peri
     if is_unimodular(m) is None:
         raise ValueError("dicing requires a unimodular matrix")
     cols = [tuple(c) for c in m.columns()]
-    points = _window_points(g, r)
-    dots = {p: tuple(_dot(v, p) for v in cols) for p in points}
 
     cells = set()
     if rank(m) == g:
-        bound_check = _slab_bound_checker(m, cols, g, r)
-        near = [p for p in points if all(-1 <= d <= 1 for d in dots[p])]
+        near = _lattice_points_near_origin(cols, g)
+        dots = {p: tuple(_dot(v, p) for v in cols) for p in near}
         for ks in product((-1, 0), repeat=len(cols)):
             pts = [p for p in near
                    if all(k <= d <= k + 1 for d, k in zip(dots[p], ks))]
             # full-dimensional iff the lattice points span affinely
-            if _affine_rank(pts) != g:
-                continue
-            if not bound_check(ks):
-                raise WindowError(
-                    f"dicing cell leaves the window of radius {r}; raise the radius"
-                )
-            cells.add(normalize_cell(pts))
+            if _affine_rank(pts) == g:
+                cells.add(normalize_cell(pts))
         return PeriodicSubdivision(g, r, frozenset(cells))
+
+    points = _window_points(g, r)
+    dots = {p: tuple(_dot(v, p) for v in cols) for p in points}
 
     # necessary slab ranges for any cell meeting the cube
     cube_lo = [sum(min(0, x) for x in v) for v in cols]
@@ -431,38 +430,24 @@ def _affine_rank(pts) -> int:
     return rank(RatMatrix(rows))
 
 
-def _slab_bound_checker(m, cols, g, r):
-    """Certify that a slab cell lies inside the window by interval arithmetic.
+def _lattice_points_near_origin(cols, g):
+    """The lattice points x with |v.x| <= 1 for every column v.
 
-    Pick g independent columns forming a unimodular basis B; any point of
-    the cell is x = B^-t y with y_i in [k_i, k_i+1], so coordinatewise
-    interval bounds on B^-t rows bound the whole cell.
+    They hold the lattice points of every chamber at the origin.  For a
+    basis B of g columns, B^t x is integral and in [-1, 1]^g, and B is
+    unimodular, so each such x is B^-t y for some y in {-1, 0, 1}^g.
     """
-    basis_idx = []
-    for j in range(len(cols)):
-        trial = basis_idx + [j]
-        sub = RatMatrix([[Fraction(cols[t][i]) for t in trial] for i in range(g)])
-        if rank(sub) == len(trial):
-            basis_idx = trial
-            if len(basis_idx) == g:
-                break
-    b = RatMatrix([[Fraction(cols[t][i]) for t in basis_idx] for i in range(g)])
-    binv_t = invert(b.transpose())
-
-    def check(ks) -> bool:
-        for i in range(g):
-            lo = hi = Fraction(0)
-            for t, j in enumerate(basis_idx):
-                coef = binv_t.data[i][t]
-                k = Fraction(ks[j])
-                vals = (coef * k, coef * (k + 1))
-                lo += min(vals)
-                hi += max(vals)
-            if lo < -r or hi > r + 1:
-                return False
-        return True
-
-    return check
+    basis = []
+    for v in cols:
+        if rank(IntMatrix(basis + [v])) > len(basis):
+            basis.append(v)
+    binv = invert(IntMatrix(basis))
+    near = []
+    for y in product((-1, 0, 1), repeat=g):
+        x = tuple(int(sum(row[t] * y[t] for t in range(g))) for row in binv.data)
+        if all(-1 <= _dot(v, x) <= 1 for v in cols):
+            near.append(x)
+    return near
 
 
 def _dot(v, p):
@@ -471,7 +456,6 @@ def _dot(v, p):
 
 def _region_full_dimensional(cols, ks, g) -> bool:
     """Whether {k <= v.x <= k+1} has interior: maximize the common slack."""
-    nvars = g + 1  # x free, slack t
     a_ub = []
     b_ub = []
     for v, k in zip(cols, ks):

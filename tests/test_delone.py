@@ -186,6 +186,25 @@ def test_dicing_vertices_are_lattice_points():
         assert cell_classes <= seen
 
 
+def test_skew_dicing_does_not_depend_on_the_window():
+    # the chambers at the origin reach (1, -6), outside the small windows;
+    # the classes come from the hyperplanes alone at every radius
+    from itertools import product as iproduct
+
+    from conelab.delone import _affine_rank
+
+    for rows in ([[1, 5], [0, 1]], [[1, 5, 6], [0, 1, 1]]):
+        a = TUMatrix(IntMatrix(rows))
+        cols = [tuple(c) for c in a.inner.columns()]
+        expected = set()
+        for ks in iproduct((-1, 0), repeat=len(cols)):
+            verts = _region_vertices(cols, ks, 2)
+            if len(verts) > 2 and _affine_rank(verts) == 2:
+                expected.add(normalize_cell(verts))
+        for r in (1, 2, 6):
+            assert set(dicing_subdivision(a, r).cells) == expected
+
+
 def test_subdivisions_equal_guards():
     s = delone_subdivision(HEX)
     s2 = delone_subdivision(HEX, 4)
