@@ -4,8 +4,9 @@ Results go to stdout (text by default, byte-stable JSON with --format
 json); diagnostics go to stderr.  Exit codes: 0 success, 1 a verification
 or boolean check came out negative, 2 input error or a lattice window too
 small to certify the result ("window error: ..." names the radius used and,
-where the command takes one, the --window option).  Input paths that do
-not exist on disk fall back to the packaged fixture of the same name, so
+where the command takes one, the --window option), 3 a result that failed
+its own re-verification ("internal error: ...").  Input paths that do not
+exist on disk fall back to the packaged fixture of the same name, so
 `conelab tu check A10.txt` works from anywhere.
 """
 
@@ -62,6 +63,7 @@ from .matroids import (
 )
 from .quadforms import (
     QuadForm,
+    VerificationError,
     WellSuitedPair,
     h_functional,
     is_perfect,
@@ -776,6 +778,9 @@ def run(argv=None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2
+    except VerificationError as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

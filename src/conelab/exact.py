@@ -280,23 +280,35 @@ def hermite_normal_form(a: IntMatrix):
 
 
 # ---------------------------------------------------------------------------
-# Gauss-Jordan elimination: the one row step, and the reduction built on it
+# Gauss-Jordan elimination on integer rows: the row step and the reduction
+
+
+def _row_step(row: list, prow: list, c: int) -> list:
+    """Clear column c of the integer row against prow (whose entry p in
+    column c is positive): row*p - row[c]*prow, divided by its gcd."""
+    p, f = prow[c], row[c]
+    row = [x * p - f * y for x, y in zip(row, prow)]
+    g = math.gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
 def _pivot(m: list, r: int, c: int) -> None:
-    """Scale row r of the list-of-rows m to a unit pivot in column c, then
-    clear column c from every other row (the simplex tableau uses it too)."""
-    inv = 1 / m[r][c]
-    prow = m[r] = [x * inv for x in m[r]]
+    """Pivot the integer rows m on entry (r, c), negating row r if it is
+    negative, and clear column c from every other row (the simplex uses it
+    too).  Each row stands for itself over a positive scale, so every sign
+    and pivot choice is that of the ``Fraction`` tableau."""
+    if m[r][c] < 0:
+        m[r] = [-x for x in m[r]]
+    prow = m[r]
     for i, row in enumerate(m):
         if i != r and row[c] != 0:
-            f = row[c]
-            m[i] = [x - f * y for x, y in zip(row, prow)]
+            m[i] = _row_step(row, prow, c)
 
 
 def _rref(m: list, cols: int) -> list:
-    """Reduce m in place to reduced row echelon form on its first `cols`
-    columns (later columns ride along); return the pivot columns."""
+    """Reduce the integer rows m in place to reduced row echelon form on
+    their first `cols` columns (later columns ride along); return the pivot
+    columns.  Only the pivot rows come back as ``Fraction`` rows."""
     pivots = []
     for c in range(cols):
         r = len(pivots)
@@ -308,12 +320,15 @@ def _rref(m: list, cols: int) -> list:
         m[r], m[piv] = m[piv], m[r]
         _pivot(m, r, c)
         pivots.append(c)
+    for r, c in enumerate(pivots):
+        p = m[r][c]
+        m[r] = [Fraction(x, p) for x in m[r]]
     return pivots
 
 
 def rank(a: Union[IntMatrix, RatMatrix]) -> int:
     """Rank over the rationals."""
-    return len(_rref([[Fraction(x) for x in row] for row in a.data], a.cols))
+    return len(_rref([clear_denominators(row)[0] for row in a.data], a.cols))
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +376,7 @@ def solve_exact(a: RatMatrix, b: Sequence[Entry]) -> Optional[LinearSolution]:
     if a.rows != len(b):
         raise DimensionError("right-hand side length does not match")
     cols = a.cols
-    m = [[Fraction(x) for x in row] + [_to_fraction(bi)] for row, bi in zip(a.data, b)]
+    m = [clear_denominators([*row, _to_fraction(bi)])[0] for row, bi in zip(a.data, b)]
     pivots = _rref(m, cols)
     if any(row[cols] != 0 for row in m[len(pivots):]):
         return None
@@ -384,8 +399,8 @@ def invert(a: Union[IntMatrix, RatMatrix]) -> RatMatrix:
     if not a.is_square():
         raise DimensionError("inverse needs a square matrix")
     n = a.rows
-    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(a.data)]
+    m = [list(ints) + [den * (i == j) for j in range(n)]
+         for i, (ints, den) in enumerate(map(clear_denominators, a.data))]
     if len(_rref(m, n)) < n:
         raise ValueError("matrix is singular")
     return RatMatrix(tuple(tuple(row[n:]) for row in m))

@@ -1,19 +1,22 @@
 """Exact rational linear programming.
 
-A textbook two-phase simplex over ``Fraction`` entries.  Dantzig pricing is
-used while progress is made and the method falls back to Bland's rule after
-a run of degenerate pivots, so termination is guaranteed without any
-tolerance.  Problem sizes in this package are tiny (tens of rows, up to a
-couple thousand columns for the point-location programs), so a dense
-tableau is the simplest thing that works.
-"""
+A two-phase simplex on an integer tableau (Edmonds 1967, Bareiss 1968, as
+in Avis's lrs).  Each row is a list of ints standing for itself over a
+positive scale, so every sign and comparison, and with them the pivot rule,
+are those of the ``Fraction`` tableau: Dantzig pricing while progress is
+made, Bland's rule after a run of degenerate pivots, so termination is
+guaranteed without any tolerance.  Problem sizes in this package are tiny
+(tens of rows, up to a couple thousand columns for the point-location
+programs), so a dense tableau is the simplest thing that works."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .exact import RatMatrix, _pivot as _gauss_jordan_step, solve_exact
+from .exact import RatMatrix, _row_step, clear_denominators, solve_exact
+from .exact import _pivot as _gauss_jordan_step
 
 _ZERO = Fraction(0)
 _BLAND_TRIGGER = 12  # consecutive degenerate pivots before switching rule
@@ -44,32 +47,28 @@ def _run_simplex(tab, basis, ncols):
                     col = j
                     break
         else:
-            best = _ZERO
+            best = 0
             for j in range(ncols):
                 if obj[j] < best:
                     best = obj[j]
                     col = j
         if col is None:
             return "optimal"
+        # ratio test rhs_i / a_i by cross-multiplication (both scales cancel)
         row = None
-        best_ratio = None
         for i in range(len(tab) - 1):
             a = tab[i][col]
             if a > 0:
-                ratio = tab[i][-1] / a
+                r = tab[i][-1]
                 if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[row])
+                    row is None
+                    or r * best_a < best_r * a
+                    or (r * best_a == best_r * a and basis[i] < basis[row])
                 ):
-                    best_ratio = ratio
-                    row = i
+                    row, best_r, best_a = i, r, a
         if row is None:
             return "unbounded"
-        if best_ratio == 0:
-            degenerate_run += 1
-        else:
-            degenerate_run = 0
+        degenerate_run = degenerate_run + 1 if best_r == 0 else 0
         _pivot(tab, basis, row, col)
 
 
@@ -94,18 +93,17 @@ def solve_standard_min(
             rhs[i] = -rhs[i]
             signs[i] = -1
 
-    # phase 1: artificial basis
+    # phase 1: artificial basis; each row's denominators are cleared once
+    # and its artificial entry (its scale) is the common denominator
     width = nvars + m
     tab = []
     for i in range(m):
-        row = rows[i] + [Fraction(int(k == i)) for k in range(m)] + [rhs[i]]
-        tab.append(row)
-    obj = [_ZERO] * (width + 1)
-    for i in range(m):
-        for j in range(width + 1):
-            obj[j] -= tab[i][j]
-    for k in range(m):
-        obj[nvars + k] = _ZERO
+        ints, den = clear_denominators(rows[i] + [rhs[i]])
+        tab.append([*ints[:nvars], *(den * (k == i) for k in range(m)), ints[-1]])
+    lcm = math.lcm(*(tab[i][nvars + i] for i in range(m)))
+    weights = [lcm // tab[i][nvars + i] for i in range(m)]
+    obj = [-sum(w * row[j] for w, row in zip(weights, tab)) for j in range(width + 1)]
+    obj[nvars:width] = [0] * m
     tab.append(obj)
     basis = [nvars + i for i in range(m)]
     status = _run_simplex(tab, basis, width)
@@ -122,11 +120,11 @@ def solve_standard_min(
     tab = [[row[j] for j in keep] for row in tab[:-1]]
     # tableau maximizes, so minimizing c.x means maximizing (-c).x and the
     # z-row starts out as +c
-    obj = [Fraction(v) for v in c] + [_ZERO]
+    cost = [Fraction(v) for v in c]
+    obj = list(clear_denominators(cost)[0]) + [0]
     for i, b in enumerate(basis):
         if b < nvars and obj[b] != 0:
-            f = obj[b]
-            obj = [x - f * y for x, y in zip(obj, tab[i])]
+            obj = _row_step(obj, tab[i], b)
     tab.append(obj)
     status = _run_simplex(tab, basis, nvars)
     if status == "unbounded":
@@ -134,8 +132,8 @@ def solve_standard_min(
     x = [_ZERO] * nvars
     for i, b in enumerate(basis):
         if b < nvars:
-            x[b] = tab[i][-1]
-    objective = -tab[-1][-1]
+            x[b] = Fraction(tab[i][-1], tab[i][b])
+    objective = sum((ci * xi for ci, xi in zip(cost, x)), _ZERO)
     duals = _dual_from_basis(rows, c, basis, m)
     # duals were computed against the sign-flipped rows; undo the flips
     duals = tuple(d * s for d, s in zip(duals, signs))

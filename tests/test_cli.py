@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from conelab import quadforms
 from conelab.cli import OPERATION_COVERAGE, build_parser, run
 
 
@@ -168,6 +169,26 @@ def test_qf_sum_command(capsys):
     assert code == 0
     d = json.loads(out)
     assert d["form"][0] == ["1", "1/2", "1/4"]
+
+
+def test_failed_reverification_is_an_internal_error(capsys, monkeypatch):
+    # the two input pairs pass their checks; the glued result then fails
+    # its re-verification, which is the program's fault, not the input's
+    real = quadforms.is_well_suited
+    calls = []
+
+    def fail_third_call(q, a):
+        calls.append(q)
+        return len(calls) <= 2 and real(q, a)
+
+    monkeypatch.setattr(quadforms, "is_well_suited", fail_third_call)
+    code, out, err = _cap(capsys, [
+        "qf", "sum", "2",
+        "SUM2_LEFT_Q.txt", "SUM2_LEFT_A.txt",
+        "SUM2_RIGHT_Q.txt", "SUM2_RIGHT_A.txt",
+    ])
+    assert (code, out, len(calls)) == (3, "", 3)
+    assert err.startswith("internal error: ") and "re-verification" in err
 
 
 def test_every_operation_is_reachable():

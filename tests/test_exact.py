@@ -217,3 +217,110 @@ def test_empty_matrix_needs_columns():
     assert m.rows == 0 and m.cols == 4 and rank(m) == 0
     with pytest.raises(DimensionError):
         IntMatrix([])
+
+
+def _reference_rref(rows, cols):
+    """Plain Fraction Gauss-Jordan, independent of conelab.exact: the
+    reduced row echelon form of rows on its first `cols` columns, and the
+    pivot columns."""
+    m = [[F(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        hit = [i for i in range(r, len(m)) if m[i][c] != 0]
+        if not hit:
+            continue
+        m[r], m[hit[0]] = m[hit[0]], m[r]
+        lead = m[r][c]
+        m[r] = [x / lead for x in m[r]]
+        for i in range(len(m)):
+            if i != r:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return m, pivots
+
+
+def _reference_solve(a, b):
+    cols = a.cols
+    m, pivots = _reference_rref([list(r) + [bi] for r, bi in zip(a.data, b)], cols)
+    if any(row[cols] != 0 for row in m[len(pivots):]):
+        return None
+    x = [F(0)] * cols
+    for i, c in enumerate(pivots):
+        x[c] = m[i][cols]
+    kernel = []
+    for f in (c for c in range(cols) if c not in pivots):
+        v = [F(0)] * cols
+        v[f] = F(1)
+        for i, c in enumerate(pivots):
+            v[c] = -m[i][f]
+        lead = next(t for t in v if t != 0)
+        kernel.append(tuple(t if lead > 0 else -t for t in v))
+    return tuple(x), tuple(kernel)
+
+
+def _check_against_reference(a, b):
+    m, pivots = _reference_rref(a.data, a.cols)
+    assert rank(a) == len(pivots)
+    sol = solve_exact(a, b)
+    ref = _reference_solve(a, b)
+    if ref is None:
+        assert sol is None
+    else:
+        assert (sol.x, sol.kernel) == ref
+        assert all(type(t) is F for t in sol.x)
+    if a.is_square():
+        if len(pivots) < a.rows:
+            with pytest.raises(ValueError, match="matrix is singular"):
+                invert(a)
+        else:
+            n = a.rows
+            eye = [[int(i == j) for j in range(n)] for i in range(n)]
+            inv, _ = _reference_rref([list(r) + e for r, e in zip(a.data, eye)], n)
+            assert invert(a) == RatMatrix([row[n:] for row in inv])
+
+
+def test_elimination_kernel_edge_cases():
+    # rows with different denominators, and leading entries that stay
+    # negative once the denominators are cleared
+    mixed = RatMatrix([["1/2", "-1/3", "2/5"], ["-3/7", "1/4", "5/6"],
+                       ["2/3", "-5/9", "1/10"]])
+    _check_against_reference(mixed, ["1/3", "-2", "7/8"])
+    negative = RatMatrix([["-2/3", "1/2"], ["-5/4", "-1/6"]])
+    _check_against_reference(negative, [-1, "1/5"])
+    _check_against_reference(IntMatrix([[-3, 2], [-1, -4]]), [5, -7])
+    # tall and wide rank-deficient shapes, over both entry types
+    tall = RatMatrix([["1/2", 1, "-1/3"], [1, 2, "-2/3"], ["-3/2", -3, 1],
+                      [0, "1/4", "1/5"], ["1/2", "5/4", "-2/15"]])
+    _check_against_reference(tall, [1, 2, -3, "1/2", "3/2"])  # consistent
+    _check_against_reference(tall, [1, 2, -3, "1/2", 0])      # inconsistent
+    wide = IntMatrix([[2, -4, 6, 0, 2], [-1, 2, -3, 0, -1]])
+    _check_against_reference(wide, [4, -2])
+    _check_against_reference(wide, [4, 2])
+    _check_against_reference(IntMatrix([[0, 0], [0, 0]]), [0, 0])
+    # 0 x n matrices
+    for n in (1, 4):
+        empty = RatMatrix((), cols=n)
+        assert rank(empty) == rank(IntMatrix((), cols=n)) == 0
+        sol = solve_exact(empty, [])
+        assert sol.x == (F(0),) * n
+        assert sol.kernel == _reference_solve(empty, [])[1]
+    # seeded low-rank products B.C with mixed row denominators
+    rng = random.Random(23)
+    for _ in range(60):
+        rows, cols, r = rng.randint(1, 5), rng.randint(1, 5), rng.randint(0, 3)
+        b = [[F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(r)]
+             for _ in range(rows)]
+        c = [[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(cols)]
+             for _ in range(r)]
+        a = RatMatrix([[sum((bi[k] * c[k][j] for k in range(r)), F(0))
+                        for j in range(cols)] for bi in b])
+        rhs = [F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(rows)]
+        _check_against_reference(a, rhs)
+        _check_against_reference(a, a.mul_vector([F(1)] * cols))
+        if a.is_integral():
+            _check_against_reference(a.to_integer(), rhs)
+        n = rng.randint(1, 4)
+        sq = IntMatrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+        _check_against_reference(sq, [rng.randint(-3, 3) for _ in range(n)])

@@ -5,12 +5,15 @@ nonsingular square subsystem (Bareiss determinants), so it shares no
 elimination code with the simplex it checks.
 """
 
+import hashlib
 import random
 from fractions import Fraction as F
 from itertools import combinations
 
+from conelab.cones import find_supporting_functional
 from conelab.exact import RatMatrix, determinant
 from conelab.lp import solve_lp, solve_standard_min
+from conelab.quadforms import perfect_cone_of, q0_principal
 
 
 def _det(rows):
@@ -131,3 +134,94 @@ def test_solve_lp_free_variables_both_senses():
     hi = solve_lp([2, -1], a_ub=[[1, 0]], b_ub=[4], a_eq=a_eq, b_eq=b_eq,
                   maximize=True)
     assert hi.status == "optimal" and hi.x == (4, 3) and hi.objective == 5
+
+
+def _pinned_standard_programs():
+    """Seeded standard-form programs: 2-5 rows with mixed row denominators,
+    negative right-hand sides, degenerate vertices and ties in the cost."""
+    rng = random.Random(606)
+    for _ in range(150):
+        m = rng.randint(2, 5)
+        n = rng.randint(2, 6)
+        dens = [rng.choice((1, 2, 3, 4, 6)) for _ in range(m)]
+        a = [[F(rng.randint(-3, 3), d) for _ in range(n)] for d in dens]
+        if rng.random() < 0.6:  # feasible, with zeros in x0 for degeneracy
+            x0 = [F(rng.choice((0, 0, 1, 2)), rng.randint(1, 3)) for _ in range(n)]
+            b = [sum(aij * xj for aij, xj in zip(row, x0)) for row in a]
+        else:
+            b = [F(rng.randint(-4, 4), rng.randint(1, 2)) for _ in range(m)]
+        if rng.random() < 0.4:  # c = y.A: every feasible point is optimal
+            y = [F(rng.randint(-2, 2)) for _ in range(m)]
+            c = [sum(yi * row[j] for yi, row in zip(y, a)) for j in range(n)]
+        elif rng.random() < 0.5:  # small costs tie often
+            c = [F(rng.randint(-1, 1)) for _ in range(n)]
+        else:
+            c = [F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)]
+        yield c, a, b
+
+
+def _pinned_general_programs():
+    rng = random.Random(707)
+    for _ in range(100):
+        n = rng.randint(1, 4)
+        n_ub = rng.randint(1, 4)
+        n_eq = rng.randint(0, 2)
+        a_ub = [[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+                for _ in range(n_ub)]
+        b_ub = [F(rng.randint(-2, 4), rng.randint(1, 2)) for _ in range(n_ub)]
+        if rng.random() < 0.5:  # a box -3 <= x <= 3 keeps most bounded
+            for j in range(n):
+                for s in (1, -1):
+                    a_ub.append([F(s * (k == j)) for k in range(n)])
+                    b_ub.append(F(3))
+        a_eq = [[F(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n_eq)]
+        b_eq = [F(rng.randint(-2, 2)) for _ in range(n_eq)]
+        c = [F(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(n)]
+        yield c, a_ub, b_ub, a_eq, b_eq, rng.random() < 0.5
+
+
+def _digest(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_pivot_path_outputs_are_pinned():
+    """Which optimal vertex, which duals and which certificate come out
+    depends on the pivot path; the brute-force tests above cannot see a
+    change there, so the full results are pinned by digest."""
+    lines = []
+    seen = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+    ties = 0
+    for c, a, b in _pinned_standard_programs():
+        res = solve_standard_min(c, a, b)
+        seen[res.status] += 1
+        lines.append(repr(res))
+        if res.status == "optimal" and ties < 3:
+            best = [x for x in _basic_feasible(a, b)
+                    if sum(ci * xi for ci, xi in zip(c, x)) == res.objective]
+            ties += len(best) > 1
+    assert all(seen.values()) and ties, (seen, ties)
+    assert _digest(lines) == PINNED_STANDARD, _digest(lines)
+
+    lines = []
+    for c, a_ub, b_ub, a_eq, b_eq, maximize in _pinned_general_programs():
+        lines.append(repr(solve_lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq,
+                                   b_eq=b_eq, maximize=maximize)))
+    assert _digest(lines) == PINNED_GENERAL, _digest(lines)
+
+    lines = []
+    rng = random.Random(808)
+    for g in (2, 3, 4):
+        cone = perfect_cone_of(q0_principal(g))
+        n = len(cone.generators)
+        for k in (1, n // 2, n - 1):
+            sub = sorted(rng.sample(range(n), k))
+            cert = find_supporting_functional(sub, cone)
+            lines.append(repr((g, sub, cert.functional.data, cert.values)))
+    assert _digest(lines) == PINNED_CERTIFICATES, _digest(lines)
+
+
+# recorded with the earlier simplex over Fraction entries; the integer
+# tableau makes the same pivot choices, so it must reproduce them
+PINNED_STANDARD = "02473c991d5ba19d768525b5a6ab201630fe607ad3e90af0bb5abd19abe2b109"
+PINNED_GENERAL = "ef2b16bc7ff38617159789e3ec01750ce0c60ebe1d6e3f00f1c30c850a406f1b"
+PINNED_CERTIFICATES = "97ee1e2c9978a6e7c1f528be7177b4924be7cb3b21c0e24245a0e17144cfcc07"
