@@ -3,11 +3,12 @@
 Results go to stdout (text by default, byte-stable JSON with --format
 json); diagnostics go to stderr.  Exit codes: 0 success, 1 a verification
 or boolean check came out negative, 2 input error or a lattice window too
-small to certify the result ("window error: ..." names the radius used and,
-where the command takes one, the --window option), 3 a result that failed
-its own re-verification ("internal error: ...").  Input paths that do not
-exist on disk fall back to the packaged fixture of the same name, so
-`conelab tu check A10.txt` works from anywhere.
+small to certify the result ("window error: ..." names the radius used and
+the command's --window or --radius option), 3 an internal failure, such as
+a result that failed its own re-verification or an invalid LP certificate
+("internal error: ...").  Input paths that do not exist on disk fall back
+to the packaged fixture of the same name, so `conelab tu check A10.txt`
+works from anywhere.
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ from .matroids import (
 )
 from .quadforms import (
     QuadForm,
-    VerificationError,
     WellSuitedPair,
     h_functional,
     is_perfect,
@@ -772,13 +772,14 @@ def run(argv=None) -> int:
         print(f"input error: {e}", file=sys.stderr)
         return 2
     except WindowError as e:
-        hint = " with --window" if "window" in vars(args) else ""
+        opt = next((o for o in ("window", "radius") if o in vars(args)), None)
+        hint = f" with --{opt}" if opt else ""
         print(f"window error: {e}{hint}", file=sys.stderr)
         return 2
     except (ValueError, OSError, json.JSONDecodeError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2
-    except VerificationError as e:
+    except RuntimeError as e:
         print(f"internal error: {e}", file=sys.stderr)
         return 3
 

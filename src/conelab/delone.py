@@ -8,9 +8,11 @@ a full-rank dicing takes only the chambers of the central arrangement.
 Every Delone star cell carries an exact certificate that the window was
 large enough: the cell's circumscribed ellipsoid (the region below its
 supporting hyperplane after lifting) fits strictly inside the window, so
-no lattice point outside the window could change it.  The chambers of a
-full-rank dicing are read off exactly and need no window.  All
-predicates are rational; orientation and hull decisions are exact.
+no lattice point outside the window could change it.  The Voronoi cell is
+the dual of the certified star: its vertices are the circumcentres of the
+star cells and its facets come from the Delone edges at the origin.  The
+chambers of a full-rank dicing are read off exactly and need no window.
+All predicates are rational; orientation and hull decisions are exact.
 """
 
 from __future__ import annotations
@@ -31,7 +33,13 @@ from .exact import (
     solve_exact,
 )
 from .lp import solve_lp, solve_standard_min
-from .quadforms import QuadForm, enumerate_in_ellipsoid, rational_rank_normal_form
+from .quadforms import (
+    QuadForm,
+    VerificationError,
+    enumerate_in_ellipsoid,
+    is_positive_definite,
+    rational_rank_normal_form,
+)
 from .tumatrix import TUMatrix, is_simple_matrix
 
 DEFAULT_WINDOW = {1: 3, 2: 3, 3: 3, 4: 2}
@@ -235,8 +243,6 @@ def delone_subdivision(q: QuadForm, window_radius: Optional[int] = None) -> Peri
     r = default_window(g) if window_radius is None else window_radius
     if r < 2:
         raise ValueError("window radius must be at least 2")
-    from .quadforms import is_positive_definite
-
     if not is_positive_definite(q):
         return _degenerate_delone(q, r)
 
@@ -541,105 +547,42 @@ class VPolytope:
 def voronoi_polytope(q: QuadForm, radius: int = 3) -> VPolytope:
     """Points at least as Q-close to the origin as to any other lattice point.
 
-    Facet candidates are the vectors v in the +-box that strictly minimize Q
-    on their coset v + 2Z^g (up to sign); the survivors are certified
-    irredundant by exact LP, and the vertices come from exhaustive
-    halfspace intersection.
+    The cell is the dual of the certified Delone star of the origin.  Each
+    star cell's Q-circumcentre c (2 p^t Q c = Q(p) for its vertices p != 0)
+    is a vertex, and a star vertex v gives the facet pair +-2 v^t Q x <= Q(v)
+    when the vertices on that hyperplane span it, i.e. when [0, v] is a
+    Delone edge.  `radius` is the starting window of the star walk (at
+    least 2); it grows until the star certifies.  Every vertex is then
+    checked on its own: no lattice point is Q-closer to it than the origin.
     """
-    from .quadforms import is_positive_definite
-
     g = q.g
     if not is_positive_definite(q):
         return _degenerate_voronoi(q, radius)
+    sub, _ = delone_with_window_growth(q, max(radius, 2))
+    star = cells_incident_to_origin(sub)
+    verts = set()
+    for cell in star:
+        nonzero = [p for p in cell if any(p)]
+        rows = [[2 * x for x in q.matrix.mul_vector([Fraction(y) for y in p])]
+                for p in nonzero]
+        verts.add(tuple(solve_exact(RatMatrix(rows), [q(p) for p in nonzero]).x))
     halfspaces = []
-    seen = set()
-    for v in product(range(-radius, radius + 1), repeat=g):
-        if all(x == 0 for x in v):
-            continue
-        key = canonical_sign(v)
-        if key in seen:
-            continue
-        seen.add(key)
-        if _is_relevant(q, key):
-            qv = q.matrix.mul_vector([Fraction(x) for x in key])
-            normal, s = primitive([2 * x for x in qv])
-            beta = q(key) * s
+    for v in {canonical_sign(p) for cell in star for p in cell if any(p)}:
+        qv = q.matrix.mul_vector([Fraction(x) for x in v])
+        normal, s = primitive([2 * x for x in qv])
+        beta = q(v) * s
+        on = [c for c in verts if _dot(normal, c) == beta]
+        if _affine_rank(on) == g - 1:
             halfspaces.append((normal, beta))
             halfspaces.append((tuple(-x for x in normal), beta))
-    halfspaces = _remove_redundant(halfspaces, g)
-    verts = _halfspace_vertices(halfspaces, g)
-    # completeness certificate.  Every found halfspace is a valid constraint
-    # of the cell, so the intersection P always contains it; if P is in
-    # addition bounded and every vertex of P has the origin among its
-    # Q-nearest lattice points, then P equals the cell exactly.
-    for d in range(g):
-        for sgn in (1, -1):
-            cost = [Fraction(sgn * int(i == d)) for i in range(g)]
-            res = solve_lp(cost,
-                           a_ub=[[Fraction(x) for x in n] for n, _ in halfspaces],
-                           b_ub=[b for _, b in halfspaces], maximize=True)
-            if res.status != "optimal":
-                raise ValueError(
-                    "facet search radius too small for this form; raise it"
-                )
     for x in verts:
         dist = q(x)
-        for v, val in enumerate_in_ellipsoid(q.matrix, dist, x):
-            if val < dist:
-                raise ValueError(
-                    "facet search radius too small for this form; raise it"
-                )
+        if any(val < dist for _, val in enumerate_in_ellipsoid(q.matrix, dist, x)):
+            raise VerificationError(
+                f"Voronoi vertex {[str(t) for t in x]} is Q-closer to another "
+                f"lattice point than to the origin"
+            )
     return VPolytope(g, tuple(sorted(halfspaces)), tuple(sorted(verts)))
-
-
-def _is_relevant(q: QuadForm, v) -> bool:
-    """Strict minimum of Q on the coset v + 2Z^g, up to sign."""
-    qv = q(v)
-    center = [Fraction(-x, 2) for x in v]
-    minima = []
-    minval = None
-    for z, val4 in enumerate_in_ellipsoid(q.matrix, qv / 4, center):
-        w = tuple(vi + 2 * zi for vi, zi in zip(v, z))
-        val = 4 * val4  # Q(w) = 4 * Q(z + v/2)
-        if minval is None or val < minval:
-            minval = val
-            minima = [w]
-        elif val == minval:
-            minima.append(w)
-    if minval != qv:
-        return False
-    return sorted(minima) == sorted([tuple(v), tuple(-x for x in v)])
-
-
-def _remove_redundant(halfspaces, g):
-    """Drop halfspaces that never bind: max a.x over the others stays <= b."""
-    kept = list(halfspaces)
-    out = []
-    for idx, (a, b) in enumerate(kept):
-        others = [hs for j, hs in enumerate(kept) if j != idx]
-        res = solve_lp(
-            [Fraction(x) for x in a],
-            a_ub=[[Fraction(x) for x in n] for n, _ in others],
-            b_ub=[bb for _, bb in others],
-            maximize=True,
-        )
-        if res.status == "unbounded" or (res.status == "optimal" and res.objective > b):
-            out.append((a, b))
-    return out
-
-
-def _halfspace_vertices(halfspaces, g):
-    verts = set()
-    for sub in combinations(range(len(halfspaces)), g):
-        rows = [[Fraction(x) for x in halfspaces[i][0]] for i in sub]
-        sol = solve_exact(RatMatrix(rows), [halfspaces[i][1] for i in sub])
-        if sol is None or sol.kernel:
-            continue
-        x = sol.x
-        if all(sum(Fraction(n) * xi for n, xi in zip(a, x)) <= b
-               for a, b in halfspaces):
-            verts.add(tuple(x))
-    return verts
 
 
 def _degenerate_voronoi(q: QuadForm, radius: int) -> VPolytope:

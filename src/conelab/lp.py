@@ -146,6 +146,8 @@ def _dual_from_basis(rows, c, basis, m):
     A leftover artificial column in a degenerate basis acts as a unit
     vector with cost zero.
     """
+    if m == 0:  # no rows, no multipliers
+        return ()
     at_rows = []
     rhs = []
     for b in basis:

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from conelab import quadforms
+from conelab import cli, quadforms
 from conelab.cli import OPERATION_COVERAGE, build_parser, run
 
 
@@ -191,6 +191,18 @@ def test_failed_reverification_is_an_internal_error(capsys, monkeypatch):
     assert err.startswith("internal error: ") and "re-verification" in err
 
 
+def test_internal_runtime_error_exits_3(capsys, monkeypatch):
+    # an internal fault (here a stand-in for an inconsistent dual system)
+    # is reported as such, not as a traceback or an input error
+    def broken(q, radius):
+        raise RuntimeError("dual system inconsistent")
+
+    monkeypatch.setattr(cli, "voronoi_polytope", broken)
+    code, out, err = _cap(capsys, ["vor", "I2.txt"])
+    assert (code, out) == (3, "")
+    assert err == "internal error: dual system inconsistent\n"
+
+
 def test_every_operation_is_reachable():
     """Coverage of the dispatch table: every library operation maps to at
     least one subcommand, and the named subcommands all exist."""
@@ -265,6 +277,12 @@ def test_window_failure_is_a_window_error(capsys, tmp_path):
     assert code == 2 and out == ""
     assert err.startswith("window error:") and "input error" not in err
     assert "radius 3" in err and "--window" in err
+
+    # vor grows its window from --radius and names that option
+    code, out, err = _cap(capsys, ["vor", str(p)])
+    assert code == 2 and out == ""
+    assert err.startswith("window error:") and "input error" not in err
+    assert "--radius" in err and "--window" not in err
 
 
 # Byte-level regression guard: stdout and exit code of each command, as

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction as F
 from itertools import combinations
@@ -19,7 +21,7 @@ from conelab.delone import (
 from conelab.exact import IntMatrix, RatMatrix, invert, solve_exact
 from conelab.fixtures import load_graph, load_int_matrix, load_matrix
 from conelab.matroids import cographic_representation, complete_graph, graphic_representation
-from conelab.quadforms import QuadForm
+from conelab.quadforms import QuadForm, is_positive_definite, q0_principal
 from conelab.tumatrix import TUMatrix
 
 HEX = QuadForm(load_matrix("QHEX.txt"))
@@ -62,14 +64,33 @@ def _mapped_cells(s, h):
             for cell in s.cells}
 
 
-def _random_unimodular(rng, steps):
-    rows = [[1, 0], [0, 1]]
+def _random_unimodular(rng, steps, g=2):
+    rows = [[int(i == j) for j in range(g)] for i in range(g)]
     for _ in range(steps):
-        i, c = rng.randrange(2), rng.choice((-1, 1))
-        rows[i] = [a + c * b for a, b in zip(rows[i], rows[1 - i])]
+        i, c = rng.randrange(g), rng.choice((-1, 1))
+        j = 1 - i if g == 2 else (i + 1 + rng.randrange(g - 1)) % g
+        rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
         if rng.random() < 0.5:
             rows[i] = [-a for a in rows[i]]
     return IntMatrix(rows)
+
+
+def _random_voronoi_form(rng, g):
+    """A weighted sum of outer products of g + 2 random {-1, 0, 1} vectors."""
+    while True:
+        vecs = [[rng.randint(-1, 1) for _ in range(g)] for _ in range(g + 2)]
+        lam = [F(rng.randint(1, 6), rng.randint(1, 3)) for _ in vecs]
+        q = QuadForm.from_rows([[sum(l * v[i] * v[j] for l, v in zip(lam, vecs))
+                                 for j in range(g)] for i in range(g)])
+        if is_positive_definite(q):
+            return q
+
+
+def _summed_form(a):
+    cols = a.inner.columns()
+    g = a.inner.rows
+    return QuadForm.from_rows([[sum(v[i] * v[j] for v in cols) for j in range(g)]
+                               for i in range(g)])
 
 
 def test_delone_gl_equivariance():
@@ -273,6 +294,11 @@ def test_voronoi_examples():
     v = voronoi_polytope(QuadForm.from_rows([[1, 0], [0, 0]]), 2)
     assert set(v.vertices) == {(F(1, 2), F(0)), (F(-1, 2), F(0))}
 
+    # g = 1: the facet hyperplane holds a single vertex (affine rank 0)
+    v = voronoi_polytope(QuadForm.from_rows([[3]]))
+    assert v.halfspaces == (((-1,), F(1, 2)), ((1,), F(1, 2)))
+    assert v.vertices == ((F(-1, 2),), (F(1, 2),))
+
 
 def test_voronoi_duality_count_g2():
     # vertices of the cell around the origin match the number of
@@ -284,13 +310,58 @@ def test_voronoi_duality_count_g2():
 
 
 def test_voronoi_completeness_certificate():
-    # sheared square lattice: the facet vector (1,-3) escapes a radius-1
-    # search box, and the boundedness certificate catches it
+    # sheared square lattice: the facet vector (1,-3) lies outside a radius-1
+    # box, but the radius only starts the star walk, which grows to certify
     q = QuadForm.from_rows([[1, 3], [3, 10]])
-    with pytest.raises(ValueError):
-        voronoi_polytope(q, 1)
-    v = voronoi_polytope(q, 3)
-    assert len(v.halfspaces) == 4 and len(v.vertices) == 4
+    cells = [voronoi_polytope(q, r) for r in (1, 2, 3)]
+    assert len(cells[0].halfspaces) == 4 and len(cells[0].vertices) == 4
+    assert cells[0] == cells[1] == cells[2]
+
+
+def test_voronoi_gl_equivariance_random_conjugates():
+    # for h Q h^t the cell is (h^t)^-1 of the cell of Q: vertices map by
+    # (h^t)^-1 and a halfspace (a, b) becomes (h a, b)
+    rng = random.Random(29)
+    for g in (2, 3):
+        for q in [_random_voronoi_form(rng, g) for _ in range(3)]:
+            vor = voronoi_polytope(q)
+            for _ in range(3):
+                h = _random_unimodular(rng, 3, g)
+                hti = invert(h.to_rational().transpose())
+                vor2 = voronoi_polytope(q.conjugate(h))
+                assert set(vor2.vertices) == {tuple(hti.mul_vector(list(x)))
+                                              for x in vor.vertices}
+                assert set(vor2.halfspaces) == {
+                    (tuple(int(x) for x in h.to_rational().mul_vector([F(t) for t in a])), b)
+                    for a, b in vor.halfspaces}
+
+
+def test_voronoi_g4_counts():
+    d4 = QuadForm.from_rows([[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]])
+    v = voronoi_polytope(d4)
+    assert (len(v.halfspaces), len(v.vertices)) == (24, 24)  # the 24-cell
+    v = voronoi_polytope(q0_principal(4))
+    assert (len(v.halfspaces), len(v.vertices)) == (20, 30)  # A4
+
+
+def test_voronoi_polytopes_are_pinned():
+    """Halfspaces and vertices of seeded g = 2, 3 forms and of the
+    fixtures, pinned by the digest of their JSON."""
+    rng = random.Random(4242)
+    forms = [_random_voronoi_form(rng, 2 + k % 2) for k in range(40)]
+    forms += [QuadForm(load_matrix(f"{name}.txt"))
+              for name in ("Q0_2", "Q0_3", "QHEX", "I2", "I3")]
+    forms += [_summed_form(a) for a in (AK3, AK4, TUMatrix.check(IntMatrix.identity(2)))]
+    forms += [QuadForm.from_rows([[1, 3], [3, 10]]), QuadForm.from_rows([[3]])]
+    lines = [json.dumps(voronoi_polytope(q).to_json_dict(), sort_keys=True)
+             for q in forms]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == PINNED_VORONOI, digest
+
+
+# recorded with the box-scan Voronoi cell (halfspace LPs and subset
+# intersection); the star dual must reproduce it
+PINNED_VORONOI = "5bcdc6a8c956e4120e817e762bca83c946fe60455894c99f5880044c5b359ee2"
 
 
 def test_minkowski_sum_checks():

@@ -12,7 +12,7 @@ from itertools import combinations
 
 from conelab.cones import find_supporting_functional
 from conelab.exact import RatMatrix, determinant
-from conelab.lp import solve_lp, solve_standard_min
+from conelab.lp import GeneralResult, StandardResult, solve_lp, solve_standard_min
 from conelab.quadforms import perfect_cone_of, q0_principal
 
 
@@ -225,3 +225,12 @@ def test_pivot_path_outputs_are_pinned():
 PINNED_STANDARD = "02473c991d5ba19d768525b5a6ab201630fe607ad3e90af0bb5abd19abe2b109"
 PINNED_GENERAL = "ef2b16bc7ff38617159789e3ec01750ce0c60ebe1d6e3f00f1c30c850a406f1b"
 PINNED_CERTIFICATES = "97ee1e2c9978a6e7c1f528be7177b4924be7cb3b21c0e24245a0e17144cfcc07"
+
+
+def test_programs_without_rows():
+    # min c.x over x >= 0 alone: x = 0 when c >= 0, else unbounded
+    assert solve_standard_min([F(1), F(2)], [], []) == StandardResult(
+        "optimal", (0, 0), 0, ())
+    assert solve_standard_min([F(1), F(-2)], [], []).status == "unbounded"
+    assert solve_lp([F(0), F(0)]) == GeneralResult("optimal", (0, 0), 0)
+    assert solve_lp([F(1), F(0)]).status == "unbounded"
