@@ -12,7 +12,9 @@ no lattice point outside the window could change it.  The Voronoi cell is
 the dual of the certified star: its vertices are the circumcentres of the
 star cells and its facets come from the Delone edges at the origin.  The
 chambers of a full-rank dicing are read off exactly and need no window.
-All predicates are rational; orientation and hull decisions are exact.
+The walk runs on an integer multiple of a definite form, so its heights,
+crossings, cofactor facet normals and certificates are integer; every
+other predicate is rational.  All decisions are exact.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd
+from operator import mul
 from typing import Optional
 
 from .exact import (
@@ -27,6 +31,7 @@ from .exact import (
     RatMatrix,
     canonical_sign,
     clear_denominators,
+    int_determinant,
     invert,
     primitive,
     rank,
@@ -125,77 +130,66 @@ def _locate_cell(points, heights):
         aff, tight = _cross_facet(points, heights, aff, primitive(kernel[0])[0])
 
 
-def _tight_set(points, heights, aff):
-    avec, c, den = aff
-    return frozenset(
-        p for p in points
-        if heights[p] * den == sum(a * x for a, x in zip(avec, p)) + c
-    )
-
-
 def _facets_of_cell(vertices):
-    """Facet hyperplanes of the convex hull of full-dimensional `vertices`.
+    """Facets through 0 of the hull of full-dimensional `vertices`, 0 among them.
 
-    Brute force over g-subsets; exact sidedness.  Returns (normal, offset)
-    pairs with the normal pointing out of the cell.
+    Such a facet is spanned by g-1 nonzero vertices, whose integer cofactor
+    vector is its normal (zero when they are dependent); exact sidedness
+    keeps the supporting ones.  Returns (normal, facet) pairs: the primitive
+    normal pointing out of the cell and the vertices on the facet.
     """
     verts = [tuple(v) for v in vertices]
     g = len(verts[0])
-    seen = {}
-    for sub in combinations(verts, g):
-        normal = _hyperplane_normal(sub)
-        if normal is None:
+    out = {}
+    for sub in combinations([v for v in verts if any(v)], g - 1):
+        normal = _cofactor_normal(sub, g)
+        div = gcd(*normal)
+        if not div:
             continue
-        beta = sum(n * x for n, x in zip(normal, sub[0]))
-        lo = hi = False
-        for v in verts:
-            val = sum(n * x for n, x in zip(normal, v))
-            if val > beta:
-                hi = True
-            elif val < beta:
-                lo = True
-            if lo and hi:
-                break
-        if lo and hi:
-            continue
-        if hi:  # flip so the cell is on the <= side
-            normal = tuple(-n for n in normal)
-            beta = -beta
-        seen[(normal, beta)] = True
-    return list(seen.keys())
+        normal = tuple(n // div for n in normal)
+        vals = [_dot(normal, v) for v in verts]
+        if max(vals) > 0:
+            if min(vals) < 0:
+                continue
+            normal = tuple(-n for n in normal)  # the cell on the <= 0 side
+        out[normal] = frozenset(v for v, val in zip(verts, vals) if val == 0)
+    return list(out.items())
 
 
-def _hyperplane_normal(points) -> Optional[tuple]:
-    """Primitive integer normal of the affine hull of g points, if (g-1)-dim."""
-    g = len(points[0])
+def _cofactor_normal(rows, g: int) -> tuple:
+    """The vector of signed maximal minors of g-1 integer rows of length g:
+    orthogonal to every row, and zero exactly when the rows are dependent."""
     if g == 1:
         return (1,)
-    base = points[0]
-    rows = [[Fraction(p[i] - base[i]) for i in range(g)] for p in points[1:]]
-    kernel = solve_exact(RatMatrix(rows), [Fraction(0)] * (g - 1)).kernel
-    if len(kernel) != 1:
-        return None
-    return primitive(kernel[0])[0]
+    if g == 2:
+        (a, b), = rows
+        return (b, -a)
+    if g == 3:
+        (a1, a2, a3), (b1, b2, b3) = rows
+        return (a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)
+    return tuple((-1) ** i * int_determinant([r[:i] + r[i + 1:] for r in rows])
+                 for i in range(g))
 
 
-def _ellipsoid_inside_window(qf: QuadForm, aff, r: int) -> bool:
+def _ellipsoid_inside_window(adj, det: int, aff, r: int) -> bool:
     """Whether {x : Q(x) <= h(x)} fits strictly inside [-R, R+1]^g.
 
     Writing the region as Q(x - c) <= rho, its reach along coordinate i is
-    sqrt(rho * (Q^-1)_ii); the comparison is done on squares.
+    sqrt(rho * (Q^-1)_ii); the comparison is done on squares.  For integer Q
+    with Q^-1 = adj/det (det > 0) and h = (a.x + cc)/den, w = adj.a gives
+    c = w/(2*det*den) and rho = (4*det*den*cc + a.w)/(4*det*den^2), so every
+    test is on integers over the positive denominator 4*det^2*den^2.
     """
-    g = qf.g
     avec, cc, den = aff
-    qinv = invert(qf.matrix)
-    a = [Fraction(x, den) for x in avec]
-    c = [x / 2 for x in qinv.mul_vector(a)]
-    rho = Fraction(cc, den) + sum(ci * x for ci, x in zip(c, qf.matrix.mul_vector(c)))
+    w = [_dot(row, avec) for row in adj]
+    s = 2 * det * den
+    rho = 4 * det * den * cc + _dot(avec, w)
     if rho < 0:  # pragma: no cover - tight set nonempty implies rho >= 0
         return True
-    for i in range(g):
-        reach_sq = rho * qinv.data[i][i]
-        up = Fraction(r + 1) - c[i]
-        dn = c[i] - Fraction(-r)
+    for i, wi in enumerate(w):
+        reach_sq = rho * adj[i][i]
+        up = (r + 1) * s - wi
+        dn = wi + r * s
         if up < 0 or dn < 0 or up * up < reach_sq or dn * dn < reach_sq:
             return False
     return True
@@ -234,7 +228,9 @@ def delone_subdivision(q: QuadForm, window_radius: Optional[int] = None) -> Peri
     Lattice points are lifted by their Q-value; the cells are the projected
     lower-hull facets.  The walk covers the star of the origin: it starts
     from a cell containing 0 and crosses only facets through 0, and every
-    visited cell is certified by the window.  Positive semi-definite forms
+    visited cell is certified by the window.  Definite forms are scaled to
+    integers, so the walk (heights, crossings, facet normals and window
+    certificates) runs in integer arithmetic.  Positive semi-definite forms
     are handled through the rank normal form (cells become lattice-point
     sets of unbounded polyhedra clipped to the window); indefinite forms
     are rejected.
@@ -249,9 +245,11 @@ def delone_subdivision(q: QuadForm, window_radius: Optional[int] = None) -> Peri
     # the subdivision only depends on Q up to positive scaling, so clear
     # denominators once and run the whole hull walk in integer arithmetic
     _, den = clear_denominators([x for row in q.matrix.data for x in row])
-    qi = q.scale(den)
+    qi = [[int(x) for x in row] for row in q.scale(den).matrix.data]
+    det = int_determinant(qi)
+    adj = [[int(x * det) for x in row] for row in invert(IntMatrix(qi)).data]
     points = _window_points(g, r)
-    heights = {p: int(qi(p)) for p in points}
+    heights = {p: _dot(p, [_dot(row, p) for row in qi]) for p in points}
     aff0, tight0 = _locate_cell(points, heights)
 
     keep = set()
@@ -261,16 +259,13 @@ def delone_subdivision(q: QuadForm, window_radius: Optional[int] = None) -> Peri
     while queue:
         aff, tight = queue.pop()
         verts = sorted(tight)
-        if not _ellipsoid_inside_window(qi, aff, r):
+        if not _ellipsoid_inside_window(adj, det, aff, r):
             raise WindowError(
                 f"a cell near the origin is not certified by the window of "
                 f"radius {r}; raise the window radius"
             )
         keep.add(normalize_cell(verts))
-        for normal, beta in _facets_of_cell(verts):
-            if beta != 0:
-                continue
-            facet = frozenset(v for v in verts if _dot(normal, v) == 0)
+        for normal, facet in _facets_of_cell(verts):
             if facet in crossed:
                 continue
             crossed.add(facet)
@@ -284,29 +279,35 @@ def delone_subdivision(q: QuadForm, window_radius: Optional[int] = None) -> Peri
 def _cross_facet(points, heights, aff, normal):
     """Rotate h about ell(x) = normal.x, which vanishes on a facet through 0.
 
-    The new tight set is the adjacent cell across that facet.  All-integer
-    inner loop: with h = (a.x + c)/den, the pivot parameter is
-    t = (den*Q(p) - a.p - c) / (den * ell(p)) and only the ratio ordering
-    matters, so candidates compare by integer cross-multiplication.  Some
-    unit vector of the window always has ell > 0.
+    One integer pass over the window finds the adjacent cell.  With
+    h = (a.x + c)/den and gap = den*Q(p) - a.p - c >= 0, the pivot t is the
+    least gap/(den*ell(p)) over ell > 0, compared by cross-multiplication
+    (some unit vector has ell > 0).  The current tight points have ell <= 0,
+    so that gap is positive, and the new tight set is the facet (tight
+    points with ell = 0) plus the points that tie for t.
     """
     avec, c, den = aff
     best_num = best_ell = None
+    tight = []
+    ties = []
     for p in points:
         ell = _dot(normal, p)
-        if ell <= 0:
+        if ell < 0:
             continue
-        gap = heights[p] * den - (sum(a * x for a, x in zip(avec, p)) + c)
-        if best_num is None or gap * best_ell < best_num * ell:
-            best_num, best_ell = gap, ell
-    # h' = h + t * ell with t = best_num / (den * best_ell)
-    g = len(normal)
-    new_den = den * best_ell
-    new_avec = tuple(avec[i] * best_ell + best_num * normal[i] for i in range(g))
-    new_c = c * best_ell
-    *navec, nc, nden = primitive((*new_avec, new_c, new_den))[0]
-    naff = (tuple(navec), nc, nden)
-    return naff, _tight_set(points, heights, naff)
+        gap = heights[p] * den - _dot(avec, p) - c
+        if ell == 0:
+            if gap == 0:
+                tight.append(p)
+        elif best_num is None or gap * best_ell < best_num * ell:
+            best_num, best_ell, ties = gap, ell, [p]
+        elif gap * best_ell == best_num * ell:
+            ties.append(p)
+    # h' = h + t * ell with t = best_num / (den * best_ell), in lowest terms
+    new_avec = [a * best_ell + best_num * n for a, n in zip(avec, normal)]
+    new_c, new_den = c * best_ell, den * best_ell
+    div = gcd(*new_avec, new_c, new_den)
+    naff = (tuple(a // div for a in new_avec), new_c // div, new_den // div)
+    return naff, frozenset(tight + ties)
 
 
 def _degenerate_delone(q: QuadForm, r: int) -> PeriodicSubdivision:
@@ -457,7 +458,7 @@ def _lattice_points_near_origin(cols, g):
 
 
 def _dot(v, p):
-    return sum(a * b for a, b in zip(v, p))
+    return sum(map(mul, v, p))
 
 
 def _region_full_dimensional(cols, ks, g) -> bool:

@@ -308,7 +308,8 @@ def _pivot(m: list, r: int, c: int) -> None:
 def _rref(m: list, cols: int) -> list:
     """Reduce the integer rows m in place to reduced row echelon form on
     their first `cols` columns (later columns ride along); return the pivot
-    columns.  Only the pivot rows come back as ``Fraction`` rows."""
+    columns.  The rows stay integer: pivot row r stands for itself divided
+    by its entry in column pivots[r]."""
     pivots = []
     for c in range(cols):
         r = len(pivots)
@@ -320,14 +321,11 @@ def _rref(m: list, cols: int) -> list:
         m[r], m[piv] = m[piv], m[r]
         _pivot(m, r, c)
         pivots.append(c)
-    for r, c in enumerate(pivots):
-        p = m[r][c]
-        m[r] = [Fraction(x, p) for x in m[r]]
     return pivots
 
 
 def rank(a: Union[IntMatrix, RatMatrix]) -> int:
-    """Rank over the rationals."""
+    """Rank over the rationals: the pivots of the integer elimination."""
     return len(_rref([clear_denominators(row)[0] for row in a.data], a.cols))
 
 
@@ -382,14 +380,14 @@ def solve_exact(a: RatMatrix, b: Sequence[Entry]) -> Optional[LinearSolution]:
         return None
     x = [Fraction(0)] * cols
     for i, c in enumerate(pivots):
-        x[c] = m[i][cols]
+        x[c] = Fraction(m[i][cols], m[i][c])
     free = [c for c in range(cols) if c not in pivots]
     kernel = []
     for f in free:
         v = [Fraction(0)] * cols
         v[f] = Fraction(1)
         for i, c in enumerate(pivots):
-            v[c] = -m[i][f]
+            v[c] = Fraction(-m[i][f], m[i][c])
         kernel.append(canonical_sign(v))
     return LinearSolution(tuple(x), tuple(kernel))
 
@@ -403,7 +401,8 @@ def invert(a: Union[IntMatrix, RatMatrix]) -> RatMatrix:
          for i, (ints, den) in enumerate(map(clear_denominators, a.data))]
     if len(_rref(m, n)) < n:
         raise ValueError("matrix is singular")
-    return RatMatrix(tuple(tuple(row[n:]) for row in m))
+    return RatMatrix(tuple(tuple(Fraction(x, row[i]) for x in row[n:])
+                           for i, row in enumerate(m)))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ from itertools import combinations
 
 import pytest
 
+from conelab import delone
 from conelab.delone import (
+    WindowError,
     cells_incident_to_origin,
     delone_subdivision,
     delone_with_window_growth,
@@ -18,7 +20,7 @@ from conelab.delone import (
     subdivisions_equal,
     voronoi_polytope,
 )
-from conelab.exact import IntMatrix, RatMatrix, invert, solve_exact
+from conelab.exact import IntMatrix, RatMatrix, invert, primitive, solve_exact
 from conelab.fixtures import load_graph, load_int_matrix, load_matrix
 from conelab.matroids import cographic_representation, complete_graph, graphic_representation
 from conelab.quadforms import QuadForm, is_positive_definite, q0_principal
@@ -363,6 +365,212 @@ def test_voronoi_polytopes_are_pinned():
 # intersection); the star dual must reproduce it
 PINNED_VORONOI = "5bcdc6a8c956e4120e817e762bca83c946fe60455894c99f5880044c5b359ee2"
 
+
+def _delone_line(run):
+    try:
+        out = run()
+    except WindowError as e:
+        return f"WindowError: {e}"
+    if isinstance(out, tuple):  # delone_with_window_growth: (subdivision, radius)
+        out = out[0]
+    return json.dumps(out.to_json_dict(), sort_keys=True)
+
+
+def test_delone_subdivisions_are_pinned():
+    """Delone subdivisions (or the window error) of seeded g = 2, 3 forms,
+    two thirds of them skewed by a unimodular conjugation, at radius 2,
+    radius 3 and with window growth, of the fixtures likewise, and of g = 4
+    forms at radius 2, pinned by the digest of their JSON."""
+    rng = random.Random(6161)
+    forms = []
+    for k in range(60):
+        g = 2 + k % 2
+        q = _random_voronoi_form(rng, g)
+        if k % 3:
+            q = q.conjugate(_random_unimodular(rng, 1 + k % 5, g))
+        forms.append(q)
+    forms += [QuadForm(load_matrix(f"{name}.txt"))
+              for name in ("Q0_2", "Q0_3", "QHEX", "I2", "I3")]
+    forms += [_summed_form(a) for a in (AK3, AK4, TUMatrix.check(IntMatrix.identity(2)))]
+    forms += [QuadForm.from_rows([[1, 3], [3, 10]]), QuadForm.from_rows([[3]])]
+    lines = []
+    for q in forms:
+        lines.append(_delone_line(lambda: delone_subdivision(q, 2)))
+        lines.append(_delone_line(lambda: delone_subdivision(q, 3)))
+        lines.append(_delone_line(lambda: delone_with_window_growth(q)))
+    for q in [_random_voronoi_form(rng, 4) for _ in range(3)]:
+        lines.append(_delone_line(lambda: delone_subdivision(q, 2)))
+    assert sum(line.startswith("WindowError") for line in lines) == 80
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == PINNED_DELONE, digest
+
+
+# recorded with the Fraction-height walk that rescans the window for each
+# tight set and solves every facet normal; the integer walk must reproduce it
+PINNED_DELONE = "8639cc8cf90d57e8d8412cbb8d6ec6e04d209a2c789456a48927a9a9866fefa3"
+
+
+# Fraction references for the kernels of the integer star walk: the
+# full-window tight-set scan, the solved hyperplane normal, the facets of
+# a cell from every g-subset of its vertices, and the ellipsoid test.
+
+
+def _reference_tight_set(points, heights, aff):
+    avec, c, den = aff
+    return frozenset(
+        p for p in points
+        if heights[p] * den == sum(a * x for a, x in zip(avec, p)) + c
+    )
+
+
+def _reference_hyperplane_normal(points):
+    """Primitive integer normal of the affine hull of g points, if (g-1)-dim."""
+    g = len(points[0])
+    if g == 1:
+        return (1,)
+    base = points[0]
+    rows = [[F(p[i] - base[i]) for i in range(g)] for p in points[1:]]
+    kernel = solve_exact(RatMatrix(rows), [F(0)] * (g - 1)).kernel
+    if len(kernel) != 1:
+        return None
+    return primitive(kernel[0])[0]
+
+
+def _reference_facets_through_origin(verts):
+    g = len(verts[0])
+    out = set()
+    for sub in combinations(verts, g):
+        normal = _reference_hyperplane_normal(sub)
+        if normal is None:
+            continue
+        vals = [sum(n * x for n, x in zip(normal, v)) for v in verts]
+        beta = sum(n * x for n, x in zip(normal, sub[0]))
+        if beta != 0 or (max(vals) > 0 and min(vals) < 0):
+            continue
+        if max(vals) > 0:
+            normal = tuple(-n for n in normal)
+        out.add((normal, frozenset(v for v, val in zip(verts, vals) if val == 0)))
+    return out
+
+
+def _reference_ellipsoid_inside_window(qf, aff, r):
+    avec, cc, den = aff
+    qinv = invert(qf.matrix)
+    a = [F(x, den) for x in avec]
+    c = [x / 2 for x in qinv.mul_vector(a)]
+    rho = F(cc, den) + sum(ci * x for ci, x in zip(c, qf.matrix.mul_vector(c)))
+    if rho < 0:
+        return True
+    for i in range(qf.g):
+        reach_sq = rho * qinv.data[i][i]
+        up = F(r + 1) - c[i]
+        dn = c[i] - F(-r)
+        if up < 0 or dn < 0 or up * up < reach_sq or dn * dn < reach_sq:
+            return False
+    return True
+
+
+def _adjugate(q):
+    rows = [[int(x) for x in row] for row in q.matrix.data]
+    det = delone.int_determinant(rows)
+    return [[int(x * det) for x in row] for row in invert(q.matrix).data], det
+
+
+def test_star_walk_kernels_match_their_references(monkeypatch):
+    """Along seeded walks (g = 2..4, some skew enough to fail the window),
+    every crossing, facet list and window certificate equals its Fraction
+    reference, and every crossed h stays below Q on the window."""
+    counts = {"cross": 0, "facets": 0, "ellipsoid": 0}
+    cross, facets, inside = (delone._cross_facet, delone._facets_of_cell,
+                             delone._ellipsoid_inside_window)
+
+    def checked_cross(points, heights, aff, normal):
+        naff, tight = cross(points, heights, aff, normal)
+        assert tight == _reference_tight_set(points, heights, naff)
+        avec, c, den = naff
+        assert all(heights[p] * den >= delone._dot(avec, p) + c for p in points)
+        counts["cross"] += 1
+        return naff, tight
+
+    def checked_facets(vertices):
+        out = facets(vertices)
+        assert len(out) == len(set(out))
+        assert set(out) == _reference_facets_through_origin([tuple(v) for v in vertices])
+        counts["facets"] += 1
+        return out
+
+    def checked_inside(adj, det, aff, r):
+        out = inside(adj, det, aff, r)
+        q = QuadForm(invert(IntMatrix(adj)).scale(det))
+        assert out == _reference_ellipsoid_inside_window(q, aff, r)
+        counts["ellipsoid"] += 1
+        return out
+
+    monkeypatch.setattr(delone, "_cross_facet", checked_cross)
+    monkeypatch.setattr(delone, "_facets_of_cell", checked_facets)
+    monkeypatch.setattr(delone, "_ellipsoid_inside_window", checked_inside)
+    rng = random.Random(515)
+    forms = []
+    for k in range(12):
+        g = 2 + k % 2
+        q = _random_voronoi_form(rng, g)
+        forms.append(q.conjugate(_random_unimodular(rng, k % 4, g)) if k % 3 else q)
+    forms += [_random_voronoi_form(rng, 4), q0_principal(4)]
+    failed = 0
+    for q in forms:
+        try:
+            delone_subdivision(q, 2)
+        except WindowError:
+            failed += 1
+    assert 0 < failed < len(forms)
+    assert min(counts.values()) > 50, counts
+
+
+def test_cofactor_normals_match_solved_normals():
+    rng = random.Random(73)
+    for g in (1, 2, 3, 4):
+        dependent = 0
+        for _ in range(120):
+            rows = [tuple(rng.randint(-2, 2) for _ in range(g)) for _ in range(g - 1)]
+            if g > 2 and rng.random() < 0.2:  # a repeated combination
+                rows[-1] = tuple(x - 2 * y for x, y in zip(rows[0], rows[1 % (g - 1)]))
+            normal = delone._cofactor_normal(rows, g)
+            expected = _reference_hyperplane_normal([(0,) * g] + rows)
+            assert all(delone._dot(normal, v) == 0 for v in rows)
+            if expected is None:
+                assert not any(normal)
+                dependent += 1
+            else:
+                assert primitive(normal)[0] in (expected, tuple(-x for x in expected))
+        assert g == 1 or dependent > 0
+
+
+def test_integer_ellipsoid_test_matches_fractions_on_ties():
+    """The integer window certificate decides as the Fraction one does,
+    including when the ellipsoid touches the window's boundary."""
+    rng = random.Random(97)
+    ties = 0
+    for _ in range(400):
+        g = rng.choice((1, 2))
+        while True:
+            q = _random_voronoi_form(rng, g) if g == 2 else QuadForm.from_rows(
+                [[F(rng.randint(1, 4), rng.randint(1, 2))]])
+            if is_positive_definite(q):
+                break
+        q = q.scale(primitive([x for row in q.matrix.data for x in row])[1])
+        adj, det = _adjugate(q)
+        aff = (tuple(rng.randint(-6, 6) for _ in range(g)), rng.randint(-2, 9),
+               rng.randint(1, 3))
+        r = rng.randint(0, 3)
+        expected = _reference_ellipsoid_inside_window(q, aff, r)
+        assert delone._ellipsoid_inside_window(adj, det, aff, r) == expected
+        avec, cc, den = aff
+        w = [delone._dot(row, avec) for row in adj]
+        rho = 4 * det * den * cc + delone._dot(avec, w)
+        s = 2 * det * den
+        ties += any(((r + 1) * s - wi) ** 2 == rho * adj[i][i]
+                    or (wi + r * s) ** 2 == rho * adj[i][i] for i, wi in enumerate(w))
+    assert ties > 10, ties
 
 def test_minkowski_sum_checks():
     assert minkowski_sum_check(AK3, 2)

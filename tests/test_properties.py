@@ -1,0 +1,103 @@
+"""Property tests on generated inputs: scaling and GL_g(Z) invariance of
+Delone subdivisions, and radius independence of full-rank dicings.
+
+Examples are derandomized, so the suite draws the same inputs every run.
+"""
+
+from fractions import Fraction as F
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conelab.delone import (
+    WindowError,
+    delone_subdivision,
+    delone_with_window_growth,
+    dicing_subdivision,
+)
+from conelab.exact import IntMatrix
+from conelab.fixtures import load_graph, load_int_matrix
+from conelab.matroids import cographic_representation
+from conelab.quadforms import QuadForm, is_positive_definite
+from conelab.tumatrix import TUMatrix
+from test_delone import _mapped_cells
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
+
+positive_rationals = st.builds(F, st.integers(1, 60), st.integers(1, 60))
+
+
+@st.composite
+def definite_forms(draw, g):
+    """A weighted sum of outer products of g + 2 vectors in {-1, 0, 1}^g."""
+    vecs = draw(st.lists(st.tuples(*[st.integers(-1, 1)] * g), min_size=g + 2,
+                         max_size=g + 2))
+    lam = draw(st.lists(st.builds(F, st.integers(1, 6), st.integers(1, 3)),
+                        min_size=g + 2, max_size=g + 2))
+    rows = [[sum(l * v[i] * v[j] for l, v in zip(lam, vecs)) for j in range(g)]
+            for i in range(g)]
+    q = QuadForm.from_rows(rows)
+    if not is_positive_definite(q):  # add the identity to make it definite
+        q = QuadForm.from_rows([[x + (i == j) for j, x in enumerate(row)]
+                                for i, row in enumerate(rows)])
+    return q
+
+
+@st.composite
+def unimodular(draw, g, max_steps=3):
+    """A product of up to max_steps elementary row additions and negations."""
+    rows = [[int(i == j) for j in range(g)] for i in range(g)]
+    for _ in range(draw(st.integers(0, max_steps))):
+        i = draw(st.integers(0, g - 1))
+        j = (i + draw(st.integers(1, g - 1))) % g
+        c = draw(st.sampled_from((-1, 1)))
+        rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+        if draw(st.booleans()):
+            rows[i] = [-a for a in rows[i]]
+    return IntMatrix(rows)
+
+
+def _outcome(q):
+    try:
+        return delone_subdivision(q).cells
+    except WindowError as e:
+        return str(e)
+
+
+@PROPERTY
+@given(st.sampled_from((2, 3)).flatmap(definite_forms), positive_rationals)
+def test_delone_is_invariant_under_scaling(q, c):
+    # the walk runs on integer heights after clearing denominators, which
+    # differ between q and c*q; the cells (or the window error) may not
+    assert _outcome(q.scale(c)) == _outcome(q)
+
+
+@PROPERTY
+@given(st.sampled_from((2, 3)).flatmap(
+    lambda g: st.tuples(definite_forms(g), unimodular(g))))
+def test_delone_is_gl_equivariant(qh):
+    q, h = qh
+    s, _ = delone_with_window_growth(q)
+    s2, _ = delone_with_window_growth(q.conjugate(h))
+    assert _mapped_cells(s, h) == set(s2.cells)
+
+
+DICING_SYSTEMS = [load_int_matrix(f"{name}.txt") for name in ("AK3", "AK4", "I2", "I3")]
+DICING_SYSTEMS.append(cographic_representation(load_graph("THETA.graph")))
+
+
+@st.composite
+def full_rank_unimodular_systems(draw):
+    """h A for a fixture system A, h unimodular, some columns negated."""
+    a = draw(st.sampled_from(DICING_SYSTEMS))
+    h = draw(unimodular(a.rows))
+    signs = draw(st.lists(st.sampled_from((-1, 1)), min_size=a.cols, max_size=a.cols))
+    rows = [[s * x for s, x in zip(signs, row)] for row in h.mul(a).data]
+    return TUMatrix(IntMatrix(rows))
+
+
+@PROPERTY
+@given(full_rank_unimodular_systems())
+def test_full_rank_dicing_does_not_depend_on_the_radius(a):
+    cells = [dicing_subdivision(a, r).cells for r in (2, 3, 4)]
+    assert cells[0] == cells[1] == cells[2]
