@@ -12,7 +12,11 @@ no lattice point outside the window could change it.  The Voronoi cell is
 the dual of the certified star: its vertices are the circumcentres of the
 star cells and its facets come from the Delone edges at the origin.  The
 chambers of a full-rank dicing are read off exactly and need no window.
-The walk runs on an integer multiple of a definite form, so its heights,
+A semi-definite form and a rank-deficient dicing share one path: reduce to
+a definite block (the rank normal form) or a full-rank column system (the
+Hermite normal form), subdivide that, and pull its classes back to the
+window, keeping the clipped cells that meet the central unit cube.  The
+walk runs on an integer multiple of a definite form, so its heights,
 crossings, cofactor facet normals and certificates are integer; every
 other predicate is rational.  All decisions are exact.
 """
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
-from operator import mul
+from operator import add, mul
 from typing import Optional
 
 from .exact import (
@@ -31,13 +35,14 @@ from .exact import (
     RatMatrix,
     canonical_sign,
     clear_denominators,
+    hermite_normal_form,
     int_determinant,
     invert,
     primitive,
     rank,
     solve_exact,
 )
-from .lp import solve_lp, solve_standard_min
+from .lp import solve_standard_min
 from .quadforms import (
     QuadForm,
     VerificationError,
@@ -311,45 +316,43 @@ def _cross_facet(points, heights, aff, normal):
 
 
 def _degenerate_delone(q: QuadForm, r: int) -> PeriodicSubdivision:
-    """Semi-definite forms: reduce to the definite block, pull cells back."""
+    """Semi-definite forms: with h q h^t = diag(q', 0) from the rank normal
+    form, Q(x) = Q'(y') for y = (h^t)^-1 x, so the cells are the pull-backs
+    of the Delone cells of the definite block q' (see _pull_back)."""
     g = q.g
-    h, qp = rational_rank_normal_form(q)  # h q h^t = diag(q', 0)
-    points = _window_points(g, r)
+    h, qp = rational_rank_normal_form(q)
     if qp is None:
         # zero form: the single trivial cell containing everything
-        cls = normalize_cell(points)
+        cls = normalize_cell(_window_points(g, r))
         return PeriodicSubdivision(g, r, frozenset({cls}))
-    gp = qp.g
-    inner = delone_subdivision(qp, r)
-    # y = (h^t)^-1 x splits into (y', y''); a cell is the preimage of an
-    # inner cell under x -> y'.  Collect lattice points per class.
-    hinv_t = invert(h.to_rational()).transpose()
-    proj = [(p, _project_first(hinv_t, p, gp)) for p in points]
+    return _pull_back(delone_subdivision(qp, r).cells, h, g, r)
+
+
+def _pull_back(inner_cells, h: IntMatrix, g: int, r: int) -> PeriodicSubdivision:
+    """Pull the classes of a subdivision of Z^g' back along x -> y'.
+
+    h is unimodular, so y' = ((h^t)^-1 x)[:g'] is integral, and a cell is
+    the set of window points whose y' lies in a translate of an inner
+    cell.  The window points are bucketed by y' once.  Over the unit cube
+    y' ranges in the box [lo, hi] (the negative and positive row sums of
+    the projection), so only translates whose bounding box meets it can
+    meet the cube; the clipped cells that do, by exact LP, are returned.
+    """
+    gp = len(next(iter(inner_cells))[0])
+    proj = [[int(x) for x in row] for row in invert(h).transpose().data[:gp]]
+    buckets = {}
+    for p in _window_points(g, r):
+        buckets.setdefault(tuple(_dot(row, p) for row in proj), []).append(p)
+    lo = [sum(x for x in row if x < 0) for row in proj]
+    hi = [sum(x for x in row if x > 0) for row in proj]
     cells = set()
-    inner_cells = inner.cells
-    # scan integer translates of every inner class and keep the pullbacks
-    # that meet the central cube; the window range bounds the translates
     for cell in inner_cells:
-        cellset = set(cell)
-        span = r + 1
-        for shift in product(range(-span, span + 1), repeat=gp):
-            translated = {tuple(v + s for v, s in zip(p, shift)) for p in cellset}
-            pts = [p for p, y in proj if y in translated]
-            if not pts:
-                continue
-            if _cell_meets_box(pts, 0, 1):
+        ranges = [range(a - max(c), b - min(c) + 1) for a, b, c in zip(lo, hi, zip(*cell))]
+        for shift in product(*ranges):
+            pts = [p for v in cell for p in buckets.get(tuple(map(add, v, shift)), ())]
+            if pts and _cell_meets_box(pts, 0, 1):
                 cells.add(normalize_cell(pts))
     return PeriodicSubdivision(g, r, frozenset(cells))
-
-
-def _project_first(hinv_t: RatMatrix, p, gp: int):
-    y = hinv_t.mul_vector([Fraction(x) for x in p])
-    out = []
-    for v in y[:gp]:
-        if v.denominator != 1:
-            return None
-        out.append(int(v))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -367,9 +370,12 @@ def dicing_subdivision(a: TUMatrix, window_radius: Optional[int] = None) -> Peri
     so the classes are the chambers of the central arrangement (slabs
     k in {-1, 0} per column).  Their lattice points are read off
     exactly, without the window (see _lattice_points_near_origin), so
-    they do not depend on the radius.  In the rank-deficient case the
-    cells are unbounded and clipped to the window, and the clipped cells
-    meeting the central unit cube are returned.
+    they do not depend on the radius.  A rank-deficient matrix is brought
+    to u m = [m'; 0] by its Hermite normal form; its cells are unbounded,
+    the pull-backs of the chambers of the full-rank m' (the same path as
+    the semi-definite Delone subdivision, see _pull_back), clipped to the
+    window, and the clipped cells meeting the central unit cube are
+    returned.
     """
     from .tumatrix import is_unimodular
 
@@ -380,53 +386,28 @@ def dicing_subdivision(a: TUMatrix, window_radius: Optional[int] = None) -> Peri
         raise ValueError("dicing requires a simple matrix")
     if is_unimodular(m) is None:
         raise ValueError("dicing requires a unimodular matrix")
-    cols = [tuple(c) for c in m.columns()]
+    gp = rank(m)
+    if gp == g:
+        return PeriodicSubdivision(g, r, _origin_chambers(m.columns(), g))
+    # u m = [m'; 0], so v.x = v'.y' for y = (u^t)^-1 x: pull back the
+    # dicing of the full-rank columns v' of m'
+    hnf, u = hermite_normal_form(m)
+    return _pull_back(_origin_chambers(list(zip(*hnf.data[:gp])), gp), u, g, r)
 
+
+def _origin_chambers(cols, g: int) -> frozenset:
+    """Classes of the dicing of full-rank columns: the chambers at the origin
+    (slabs k in {-1, 0} per column), as normalized lattice-point sets."""
+    near = _lattice_points_near_origin(cols, g)
+    dots = {p: tuple(_dot(v, p) for v in cols) for p in near}
     cells = set()
-    if rank(m) == g:
-        near = _lattice_points_near_origin(cols, g)
-        dots = {p: tuple(_dot(v, p) for v in cols) for p in near}
-        for ks in product((-1, 0), repeat=len(cols)):
-            pts = [p for p in near
-                   if all(k <= d <= k + 1 for d, k in zip(dots[p], ks))]
-            # full-dimensional iff the lattice points span affinely
-            if _affine_rank(pts) == g:
-                cells.add(normalize_cell(pts))
-        return PeriodicSubdivision(g, r, frozenset(cells))
-
-    points = _window_points(g, r)
-    dots = {p: tuple(_dot(v, p) for v in cols) for p in points}
-
-    # necessary slab ranges for any cell meeting the cube
-    cube_lo = [sum(min(0, x) for x in v) for v in cols]
-    cube_hi = [sum(max(0, x) for x in v) for v in cols]
-
-    candidates = set()
-    for p in points:
-        dv = dots[p]
-        choices = []
-        for i, d in enumerate(dv):
-            ks = [k for k in (d - 1, d) if k <= cube_hi[i] and k + 1 >= cube_lo[i]]
-            if not ks:
-                choices = None
-                break
-            choices.append(ks)
-        if choices is None:
-            continue
-        for ks in product(*choices):
-            candidates.add(ks)
-
-    for ks in candidates:
-        pts = [p for p in points
+    for ks in product((-1, 0), repeat=len(cols)):
+        pts = [p for p in near
                if all(k <= d <= k + 1 for d, k in zip(dots[p], ks))]
-        if len(pts) < 2:
-            continue
-        if not _region_full_dimensional(cols, ks, g):
-            continue
-        if not _cell_meets_box(pts, 0, 1):
-            continue
-        cells.add(normalize_cell(pts))
-    return PeriodicSubdivision(g, r, frozenset(cells))
+        # full-dimensional iff the lattice points span affinely
+        if _affine_rank(pts) == g:
+            cells.add(normalize_cell(pts))
+    return frozenset(cells)
 
 
 def _affine_rank(pts) -> int:
@@ -459,22 +440,6 @@ def _lattice_points_near_origin(cols, g):
 
 def _dot(v, p):
     return sum(map(mul, v, p))
-
-
-def _region_full_dimensional(cols, ks, g) -> bool:
-    """Whether {k <= v.x <= k+1} has interior: maximize the common slack."""
-    a_ub = []
-    b_ub = []
-    for v, k in zip(cols, ks):
-        a_ub.append([Fraction(-x) for x in v] + [Fraction(1)])
-        b_ub.append(Fraction(-k))
-        a_ub.append([Fraction(x) for x in v] + [Fraction(1)])
-        b_ub.append(Fraction(k + 1))
-    a_ub.append([Fraction(0)] * g + [Fraction(-1)])
-    b_ub.append(Fraction(0))
-    res = solve_lp([Fraction(0)] * g + [Fraction(1)],
-                   a_ub=a_ub, b_ub=b_ub, maximize=True)
-    return res.status == "optimal" and res.objective > 0
 
 
 # ---------------------------------------------------------------------------

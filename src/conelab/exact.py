@@ -146,9 +146,6 @@ class IntMatrix(_BaseMatrix):
     def to_rational(self) -> "RatMatrix":
         return RatMatrix(self.data)
 
-    def neg(self) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(-x for x in row) for row in self.data))
-
 
 class RatMatrix(_BaseMatrix):
     """Dense matrix over the rationals; Fraction keeps entries in lowest terms."""

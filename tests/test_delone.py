@@ -20,7 +20,7 @@ from conelab.delone import (
     subdivisions_equal,
     voronoi_polytope,
 )
-from conelab.exact import IntMatrix, RatMatrix, invert, primitive, solve_exact
+from conelab.exact import IntMatrix, RatMatrix, invert, primitive, rank, solve_exact
 from conelab.fixtures import load_graph, load_int_matrix, load_matrix
 from conelab.matroids import cographic_representation, complete_graph, graphic_representation
 from conelab.quadforms import QuadForm, is_positive_definite, q0_principal
@@ -408,6 +408,46 @@ def test_delone_subdivisions_are_pinned():
 # recorded with the Fraction-height walk that rescans the window for each
 # tight set and solves every facet normal; the integer walk must reproduce it
 PINNED_DELONE = "8639cc8cf90d57e8d8412cbb8d6ec6e04d209a2c789456a48927a9a9866fefa3"
+
+
+def _rank_deficient_supports(m):
+    """Column index sets of m whose columns do not span."""
+    return [s for k in range(1, m.cols + 1) for s in combinations(range(m.cols), k)
+            if rank(m.submatrix(range(m.rows), s)) < m.rows]
+
+
+def test_rank_deficient_subdivisions_are_pinned():
+    """Semi-definite Delone subdivisions sum_S lam_i v_i v_i^t and the
+    dicings of A_S, for every rank-deficient column support S of the five
+    fixture systems with seeded weights, at radius 2, 3 and 4, pinned by
+    the digest of their JSON (or of the window error)."""
+    rng = random.Random(9090)
+    systems = [load_int_matrix(f"{name}.txt") for name in ("AK3", "AK4", "I2", "I3")]
+    systems.append(cographic_representation(load_graph("THETA.graph")))
+    lines = []
+    for m in systems:
+        cols = m.columns()
+        for s in _rank_deficient_supports(m):
+            lam = [F(rng.randint(1, 9), rng.randint(1, 4)) for _ in s]
+            q = QuadForm.from_rows([[sum(lam[t] * cols[i][a] * cols[i][b]
+                                         for t, i in enumerate(s))
+                                     for b in range(m.rows)] for a in range(m.rows)])
+            a_s = TUMatrix.check(m.submatrix(range(m.rows), s))
+            for r in (2, 3, 4):
+                lines.append(_delone_line(lambda: delone_subdivision(q, r)))
+                lines.append(_delone_line(lambda: dicing_subdivision(a_s, r)))
+    assert len(lines) == 234
+    assert sum(line.startswith("WindowError") for line in lines) == 32
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == PINNED_RANK_DEFICIENT, digest
+
+
+# recorded with the fixed shift box of the Delone branch and the slab
+# candidates and full-dimensionality LPs of the dicing (digest 65f25b2a...),
+# then re-pinned for the shared pull-back, which changes one output: the
+# Delone subdivision of AK4 support (3, 4), lam = (3, 1), at radius 4 has
+# the 12 classes of its dicing, of which the fixed shift box found 10
+PINNED_RANK_DEFICIENT = "a977b7f3607c7c4ba4b1bb68f205107a137df474fa21d3fefa94718c5b1fce08"
 
 
 # Fraction references for the kernels of the integer star walk: the

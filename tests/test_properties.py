@@ -1,12 +1,13 @@
 """Property tests on generated inputs: scaling and GL_g(Z) invariance of
-Delone subdivisions, and radius independence of full-rank dicings.
+Delone subdivisions, radius independence of full-rank dicings, and the
+dicing identity on the boundary of the cone.
 
 Examples are derandomized, so the suite draws the same inputs every run.
 """
 
 from fractions import Fraction as F
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conelab.delone import (
@@ -20,7 +21,7 @@ from conelab.fixtures import load_graph, load_int_matrix
 from conelab.matroids import cographic_representation
 from conelab.quadforms import QuadForm, is_positive_definite
 from conelab.tumatrix import TUMatrix
-from test_delone import _mapped_cells
+from test_delone import _mapped_cells, _rank_deficient_supports
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
 
@@ -101,3 +102,35 @@ def full_rank_unimodular_systems(draw):
 def test_full_rank_dicing_does_not_depend_on_the_radius(a):
     cells = [dicing_subdivision(a, r).cells for r in (2, 3, 4)]
     assert cells[0] == cells[1] == cells[2]
+
+
+@st.composite
+def rank_deficient_sums(draw):
+    """The columns of h A_S for a rank-deficient support S of a fixture
+    system and unimodular h, with positive weights for them."""
+    a = draw(st.sampled_from(DICING_SYSTEMS))
+    s = draw(st.sampled_from(_rank_deficient_supports(a)))
+    h = draw(unimodular(a.rows))
+    cols = h.mul(a.submatrix(range(a.rows), s)).columns()
+    lam = draw(st.lists(st.builds(F, st.integers(1, 9), st.integers(1, 4)),
+                        min_size=len(s), max_size=len(s)))
+    return cols, lam
+
+
+@PROPERTY
+@given(rank_deficient_sums(), st.sampled_from((2, 3, 4)))
+@example(([(1, 2, 2)], [F(1)]), 3)
+@example(([(2, 7)], [F(1)]), 2)
+def test_semidefinite_delone_is_the_dicing_of_its_support(sums, r):
+    # sum lam_i v_i v_i^t lies on the boundary of the cone sigma(A_S); its
+    # Delone subdivision is the dicing of A_S (Erdahl-Ryshkov)
+    cols, lam = sums
+    g = len(cols[0])
+    q = QuadForm.from_rows([[sum(l * v[i] * v[j] for l, v in zip(lam, cols))
+                             for j in range(g)] for i in range(g)])
+    try:
+        sub = delone_subdivision(q, r)
+    except WindowError:
+        return  # the definite block does not certify in this window
+    a = TUMatrix(IntMatrix([list(row) for row in zip(*cols)]))
+    assert sub.cells == dicing_subdivision(a, r).cells
