@@ -592,6 +592,7 @@ OPERATION_COVERAGE = {
     "verify.verify_principal": ["verify principal"],
     "verify.verify_taxonomy_g2": ["verify taxonomy-g2"],
     "verify.verify_seymour_pipeline": ["verify seymour"],
+    "verify.verify_dicings": ["verify dicings"],
 }
 
 

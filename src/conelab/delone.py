@@ -614,9 +614,13 @@ def minkowski_sum_check(a: TUMatrix, radius: int = 3) -> bool:
     The segment attached to a column v of A inside the form Q = sum v_i v_i^t
     is [-Q^-1 v / 2, +Q^-1 v / 2]: these are the only segment directions
     compatible with the zonotope's edge classes.  Exact vertex comparison.
+    A has to have full row rank, so that the summed form is definite.
     """
     m = a.inner
     g = m.rows
+    r = rank(m)
+    if r < g:
+        raise ValueError(f"zonotope check needs a matrix of full row rank, got rank {r} < {g}")
     cols = m.columns()
     rows = [[sum(Fraction(v[i] * v[j]) for v in cols) for j in range(g)]
             for i in range(g)]

@@ -21,9 +21,18 @@ from .exact import (
     canonical_sign,
     clear_denominators,
     hermite_normal_form,
+    invert,
     ldlt_decompose,
 )
-from .tumatrix import TUMatrix, is_simple_matrix
+from .tumatrix import (
+    SumShape2,
+    SumShape3,
+    TUMatrix,
+    is_simple_matrix,
+    seymour_sum1,
+    seymour_sum2,
+    seymour_sum3,
+)
 
 
 class VerificationError(RuntimeError):
@@ -273,15 +282,20 @@ def q5_families():
     return es, fs, gs, hs
 
 
-_H_WEIGHTS = {1: 1, 2: 2}
+def h_functional_matrix() -> RatMatrix:
+    """The cyclic supporting functional H on 5x5 symmetric arrays.
+
+    H_ij is the cyclic distance between i and j: 0 on the diagonal, 1 for
+    cyclic neighbours and 2 otherwise.
+    """
+    return RatMatrix([[min((i - j) % 5, (j - i) % 5) for j in range(5)] for i in range(5)])
 
 
 def h_functional(alpha) -> Fraction:
-    """Cyclic supporting functional on 5x5 symmetric coefficient arrays.
+    """Frobenius pairing <H, S> = sum_ij H_ij S_ij with h_functional_matrix().
 
-    Off-diagonal coefficients are weighted 1 at cyclic distance one and 2 at
-    cyclic distance two, each ordered pair counted, so a rank-one array
-    vv^t scores sum_{i != j} w(i,j) v_i v_j.  A length-5 integer vector is
+    Each ordered off-diagonal pair is counted, so a rank-one array vv^t
+    scores sum_{i != j} H_ij v_i v_j.  A length-5 integer vector is
     accepted as shorthand for its outer product.
     """
     if isinstance(alpha, (list, tuple)) and len(alpha) == 5 and not isinstance(alpha[0], (list, tuple)):
@@ -297,30 +311,9 @@ def h_functional(alpha) -> Fraction:
         raise DimensionError("functional is defined on 5x5 arrays")
     if not mat.is_symmetric():
         raise DimensionError("coefficient array must be symmetric")
-    acc = Fraction(0)
-    for i in range(5):
-        for j in range(5):
-            if i == j:
-                continue
-            d = min((i - j) % 5, (j - i) % 5)
-            acc += _H_WEIGHTS[d] * mat.data[i][j]
-    return acc
-
-
-def h_functional_matrix() -> RatMatrix:
-    """The functional of h_functional as a symmetric matrix under the
-    Frobenius pairing <H, S> = sum_ij H_ij S_ij."""
-    rows = []
-    for i in range(5):
-        row = []
-        for j in range(5):
-            if i == j:
-                row.append(Fraction(0))
-            else:
-                d = min((i - j) % 5, (j - i) % 5)
-                row.append(Fraction(_H_WEIGHTS[d]))
-        rows.append(row)
-    return RatMatrix(rows)
+    h = h_functional_matrix()
+    return sum((h.data[i][j] * mat.data[i][j] for i in range(5) for j in range(5)),
+               Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -339,17 +332,50 @@ class WellSuitedPair:
         return cls(form, matrix)
 
 
-def _block_diag(q1: RatMatrix, q2: RatMatrix) -> RatMatrix:
-    g1, g2 = q1.rows, q2.rows
-    rows = []
-    for i in range(g1):
-        rows.append(list(q1.data[i]) + [Fraction(0)] * g2)
-    for i in range(g2):
-        rows.append([Fraction(0)] * g1 + list(q2.data[i]))
-    return RatMatrix(rows)
+# The central block C that both forms of a k-sum carry on their k shared
+# coordinates (it takes the value 1 on each shared tail column), and C^-1.
+_CENTRES = {0: (), 1: ((1,),), 2: ((1, Fraction(-1, 2)), (Fraction(-1, 2), 1))}
+_CENTRE_INVERSES = {
+    0: (),
+    1: invert(RatMatrix(_CENTRES[1])).data,
+    2: invert(RatMatrix(_CENTRES[2])).data,
+}
 
 
-def _verified_pair(qbar: QuadForm, a: TUMatrix) -> WellSuitedPair:
+def sum_coupling(u, v, k: int) -> Fraction:
+    """u^t C^-1 v for the central block C of a k-sum."""
+    cinv = _CENTRE_INVERSES[k]
+    return sum((u[s] * cinv[s][t] * v[t] for s in range(k) for t in range(k)),
+               Fraction(0))
+
+
+def _glue(p1: WellSuitedPair, p2: WellSuitedPair, k: int, a: TUMatrix) -> WellSuitedPair:
+    """Glue [Q1 B1; B1^t C] and [C B2^t; B2 Q2] along their k shared
+    coordinates into [Q1 B1 M; B1^t C B2^t; M^t B2 Q2], M = B1 C^-1 B2^t.
+
+    With u1 = B1^t xi1 and u2 = B2^t xi2, the glued value at (xi1, y, xi2)
+    splits into the two Schur complements plus C at a shifted y:
+
+        [Q1(xi1) - u1^t C^-1 u1] + [Q2(xi2) - u2^t C^-1 u2]
+            + C(y + C^-1 (u1 + u2)),
+
+    because M is exactly the cross term 2 u1^t C^-1 u2 of the last square.
+    k = 0 gives the direct sum diag(Q1, Q2).  The result is re-verified by
+    enumeration against the glued matrix `a`.
+    """
+    q1, q2 = p1.form.matrix.data, p2.form.matrix.data
+    g1 = len(q1) - k
+    centre = _CENTRES[k]
+    if tuple(row[g1:] for row in q1[g1:]) != centre:
+        raise ValueError(f"left form must carry the fixed central {k}x{k} block")
+    if tuple(row[:k] for row in q2[:k]) != centre:
+        raise ValueError(f"right form must carry the fixed central {k}x{k} block")
+    m = [[sum_coupling(q1[i][g1:], q2[j][:k], k) for j in range(k, len(q2))]
+         for i in range(g1)]
+    rows = [list(q1[i]) + m[i] for i in range(g1)]
+    rows += [list(q1[g1 + s]) + list(q2[s][k:]) for s in range(k)]
+    rows += [[m[i][j] for i in range(g1)] + list(q2[k + j]) for j in range(len(q2) - k)]
+    qbar = QuadForm(RatMatrix(rows))
     if not is_well_suited(qbar, a):
         raise VerificationError(
             "assembled form failed its well-suitedness re-verification"
@@ -359,130 +385,15 @@ def _verified_pair(qbar: QuadForm, a: TUMatrix) -> WellSuitedPair:
 
 def well_suited_sum1(p1: WellSuitedPair, p2: WellSuitedPair) -> WellSuitedPair:
     """Direct sum: diag(Q1, Q2) is well-suited for the block-diagonal matrix."""
-    from .tumatrix import seymour_sum1
-
-    qbar = QuadForm(_block_diag(p1.form.matrix, p2.form.matrix))
-    a = seymour_sum1(p1.matrix, p2.matrix)
-    return _verified_pair(qbar, a)
-
-
-def _split_sum2_left(q: RatMatrix):
-    g1 = q.rows - 1
-    if q.data[g1][g1] != 1:
-        raise ValueError("left form must have a trailing unit diagonal entry")
-    q1 = RatMatrix([row[:g1] for row in q.data[:g1]]) if g1 else None
-    r1 = [q.data[i][g1] for i in range(g1)]
-    return q1, r1
-
-
-def _split_sum2_right(q: RatMatrix):
-    g2 = q.rows - 1
-    if q.data[0][0] != 1:
-        raise ValueError("right form must have a leading unit diagonal entry")
-    q2 = RatMatrix([row[1:] for row in q.data[1:]]) if g2 else None
-    r2 = [q.data[1 + i][0] for i in range(g2)]
-    return q2, r2
+    return _glue(p1, p2, 0, seymour_sum1(p1.matrix, p2.matrix))
 
 
 def well_suited_sum2(p1: WellSuitedPair, p2: WellSuitedPair) -> WellSuitedPair:
-    """Glue two well-suited pairs along a shared unit column.
-
-    The assembled form couples the border vectors through their outer
-    product, which is exactly what makes the evaluation split into the two
-    block evaluations plus a cross term that completes a square.
-    """
-    from .tumatrix import SumShape2, seymour_sum2
-
-    shape = SumShape2(p1.matrix, p2.matrix)
-    g1, g2 = shape.g1, shape.g2
-    q1, r1 = _split_sum2_left(p1.form.matrix)
-    q2, r2 = _split_sum2_right(p2.form.matrix)
-    n = g1 + 1 + g2
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(g1):
-        for j in range(g1):
-            rows[i][j] = q1.data[i][j]
-        rows[i][g1] = r1[i]
-        rows[g1][i] = r1[i]
-        for j in range(g2):
-            rows[i][g1 + 1 + j] = r1[i] * r2[j]
-            rows[g1 + 1 + j][i] = r1[i] * r2[j]
-    rows[g1][g1] = Fraction(1)
-    for j in range(g2):
-        rows[g1][g1 + 1 + j] = r2[j]
-        rows[g1 + 1 + j][g1] = r2[j]
-        for k in range(g2):
-            rows[g1 + 1 + j][g1 + 1 + k] = q2.data[j][k]
-    qbar = QuadForm(RatMatrix(rows))
-    a = seymour_sum2(shape)
-    return _verified_pair(qbar, a)
-
-
-_MHALF = Fraction(-1, 2)
-
-
-def _split_sum3_left(q: RatMatrix):
-    g1 = q.rows - 2
-    center = [[q.data[g1][g1], q.data[g1][g1 + 1]],
-              [q.data[g1 + 1][g1], q.data[g1 + 1][g1 + 1]]]
-    if center != [[Fraction(1), _MHALF], [_MHALF, Fraction(1)]]:
-        raise ValueError("left form must carry the fixed central 2x2 block")
-    q1 = RatMatrix([row[:g1] for row in q.data[:g1]]) if g1 else None
-    r1 = [q.data[i][g1] for i in range(g1)]
-    s1 = [q.data[i][g1 + 1] for i in range(g1)]
-    return q1, r1, s1
-
-
-def _split_sum3_right(q: RatMatrix):
-    g2 = q.rows - 2
-    center = [[q.data[0][0], q.data[0][1]], [q.data[1][0], q.data[1][1]]]
-    if center != [[Fraction(1), _MHALF], [_MHALF, Fraction(1)]]:
-        raise ValueError("right form must carry the fixed central 2x2 block")
-    q2 = RatMatrix([row[2:] for row in q.data[2:]]) if g2 else None
-    r2 = [q.data[2 + i][0] for i in range(g2)]
-    s2 = [q.data[2 + i][1] for i in range(g2)]
-    return q2, r2, s2
-
-
-def sum3_coupling(r1, s1, r2, s2) -> list:
-    """Coupling block M[j][k] = 4/3 (r1^j r2^k + s1^j s2^k) + 2/3 (r1^j s2^k + s1^j r2^k).
-
-    Chosen so the mixed terms of the two-variable square completion cancel
-    exactly; see the cancellation property test.
-    """
-    ft, tt = Fraction(4, 3), Fraction(2, 3)
-    return [
-        [ft * (r1[j] * r2[k] + s1[j] * s2[k]) + tt * (r1[j] * s2[k] + s1[j] * r2[k])
-         for k in range(len(r2))]
-        for j in range(len(r1))
-    ]
+    """Glue two well-suited pairs along a shared unit column (C = [1])."""
+    return _glue(p1, p2, 1, seymour_sum2(SumShape2(p1.matrix, p2.matrix)))
 
 
 def well_suited_sum3(p1: WellSuitedPair, p2: WellSuitedPair) -> WellSuitedPair:
-    """Glue two well-suited pairs along the shared 2-row triangle pattern."""
-    from .tumatrix import SumShape3, seymour_sum3
-
-    shape = SumShape3(p1.matrix, p2.matrix)
-    g1, g2 = shape.g1, shape.g2
-    q1, r1, s1 = _split_sum3_left(p1.form.matrix)
-    q2, r2, s2 = _split_sum3_right(p2.form.matrix)
-    m = sum3_coupling(r1, s1, r2, s2)
-    n = g1 + 2 + g2
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(g1):
-        for j in range(g1):
-            rows[i][j] = q1.data[i][j]
-        rows[i][g1] = rows[g1][i] = r1[i]
-        rows[i][g1 + 1] = rows[g1 + 1][i] = s1[i]
-        for k in range(g2):
-            rows[i][g1 + 2 + k] = rows[g1 + 2 + k][i] = m[i][k]
-    rows[g1][g1] = rows[g1 + 1][g1 + 1] = Fraction(1)
-    rows[g1][g1 + 1] = rows[g1 + 1][g1] = _MHALF
-    for k in range(g2):
-        rows[g1][g1 + 2 + k] = rows[g1 + 2 + k][g1] = r2[k]
-        rows[g1 + 1][g1 + 2 + k] = rows[g1 + 2 + k][g1 + 1] = s2[k]
-        for l in range(g2):
-            rows[g1 + 2 + k][g1 + 2 + l] = q2.data[k][l]
-    qbar = QuadForm(RatMatrix(rows))
-    a = seymour_sum3(shape)
-    return _verified_pair(qbar, a)
+    """Glue two well-suited pairs along the shared triangle pattern
+    (C = [[1, -1/2], [-1/2, 1]])."""
+    return _glue(p1, p2, 2, seymour_sum3(SumShape3(p1.matrix, p2.matrix)))

@@ -1,15 +1,19 @@
 """Totally unimodular matrices, unimodular equivalence, and block sums.
 
-The sum constructions compose simple TU representations in the three block
-shapes used for gluing regular matroids; the constructors validate their
-block patterns and re-check total unimodularity of the result.
+The 1-, 2- and 3-sums compose simple TU representations the way regular
+matroids are glued.  They are one construction with k = 0, 1, 2 shared
+rows: left = [B 0; b T] and right = [c T; C 0], where T holds the tail
+columns of the k shared rows (none, the unit column, or the triangle
+columns (1,0), (0,1), (1,1)), glue to [B 0 0; b c T; 0 C 0].  The
+constructors validate the block pattern and re-check total unimodularity
+and simplicity of the result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
+from typing import ClassVar, Optional
 
 from .exact import (
     DimensionError,
@@ -160,133 +164,64 @@ def _require_simple_tu(m: TUMatrix, side: str) -> IntMatrix:
     return a
 
 
-def _unit_column(col, one_at: int) -> bool:
-    return all(x == (1 if i == one_at else 0) for i, x in enumerate(col))
+# The tail columns T that both blocks of a k-sum carry on their k shared
+# rows: none for the 1-sum, the unit column for the 2-sum, the triangle
+# columns for the 3-sum.
+_TAILS = {0: (), 1: ((1,),), 2: ((1, 0), (0, 1), (1, 1))}
+
+
+def _check_sum_blocks(left: TUMatrix, right: TUMatrix, k: int) -> None:
+    """Both blocks are simple and TU, left = [B 0; b T] and right = [c T; C 0]."""
+    l = _require_simple_tu(left, "left")
+    r = _require_simple_tu(right, "right")
+    tail = _TAILS[k]
+    t = len(tail)
+    if min(l.rows, r.rows) < k + 1 or min(l.cols, r.cols) < t + 1:
+        raise BlockShapeError(
+            f"{k + 1}-sum blocks need at least {k + 1} rows and {t + 1} columns"
+        )
+    want = [(0,) * (l.rows - k) + col for col in tail]
+    if l.columns()[l.cols - t:] != want:
+        raise BlockShapeError(f"left block must end with the columns {want}")
+    want = [col + (0,) * (r.rows - k) for col in tail]
+    if r.columns()[r.cols - t:] != want:
+        raise BlockShapeError(f"right block must end with the columns {want}")
 
 
 @dataclass(frozen=True)
-class SumShape2:
-    """Pair of simple TU matrices in the 2-sum block form.
-
-    left  = [B 0; b^t 1]   (last column is the unit vector at the last row)
-    right = [c^t 1; C 0]   (last column is the unit vector at the first row)
-    """
+class _SumShape:
+    """Pair of simple TU matrices in the block form of a k-sum, k = `k`."""
 
     left: TUMatrix
     right: TUMatrix
+    k: ClassVar[int]
 
     def __post_init__(self):
-        l = _require_simple_tu(self.left, "left")
-        r = _require_simple_tu(self.right, "right")
-        if l.rows < 2 or l.cols < 2 or r.rows < 2 or r.cols < 2:
-            raise BlockShapeError("2-sum blocks need at least two rows and columns")
-        if not _unit_column(l.column(l.cols - 1), l.rows - 1):
-            raise BlockShapeError("left block must end with the (0,...,0,1) column")
-        if any(l.data[i][j] != 0 for i in range(l.rows - 1) for j in (l.cols - 1,)):
-            raise BlockShapeError("left block zero pattern violated")
-        if not _unit_column(r.column(r.cols - 1), 0):
-            raise BlockShapeError("right block must end with the (1,0,...,0) column")
-
-    @property
-    def g1(self) -> int:
-        return self.left.rows - 1
-
-    @property
-    def g2(self) -> int:
-        return self.right.rows - 1
-
-    @property
-    def n1(self) -> int:
-        return self.left.cols - 1
-
-    @property
-    def n2(self) -> int:
-        return self.right.cols - 1
+        _check_sum_blocks(self.left, self.right, self.k)
 
 
-@dataclass(frozen=True)
-class SumShape3:
-    """Pair of simple TU matrices in the 3-sum block form.
+class SumShape2(_SumShape):
+    """2-sum blocks: left = [B 0; b^t 1] and right = [c^t 1; C 0]."""
 
-    left  = [B 0 0 0; b1^t 1 0 1; b2^t 0 1 1]
-    right = [c1^t 1 0 1; c2^t 0 1 1; C 0 0 0]
-    """
-
-    left: TUMatrix
-    right: TUMatrix
-
-    def __post_init__(self):
-        l = _require_simple_tu(self.left, "left")
-        r = _require_simple_tu(self.right, "right")
-        if l.rows < 3 or l.cols < 4 or r.rows < 3 or r.cols < 4:
-            raise BlockShapeError("3-sum blocks need at least 3 rows and 4 columns")
-        g1, n1 = l.rows - 2, l.cols - 3
-        tail = [l.column(n1), l.column(n1 + 1), l.column(n1 + 2)]
-        want = [
-            [0] * g1 + [1, 0],
-            [0] * g1 + [0, 1],
-            [0] * g1 + [1, 1],
-        ]
-        if [list(t) for t in tail] != want:
-            raise BlockShapeError("left block trailing columns must be the 1/0/1 pattern")
-        g2, n2 = r.rows - 2, r.cols - 3
-        tail = [r.column(n2), r.column(n2 + 1), r.column(n2 + 2)]
-        want = [
-            [1, 0] + [0] * g2,
-            [0, 1] + [0] * g2,
-            [1, 1] + [0] * g2,
-        ]
-        if [list(t) for t in tail] != want:
-            raise BlockShapeError("right block trailing columns must be the 1/0/1 pattern")
-
-    @property
-    def g1(self) -> int:
-        return self.left.rows - 2
-
-    @property
-    def g2(self) -> int:
-        return self.right.rows - 2
-
-    @property
-    def n1(self) -> int:
-        return self.left.cols - 3
-
-    @property
-    def n2(self) -> int:
-        return self.right.cols - 3
+    k = 1
 
 
-def _assemble_sum1(a1: IntMatrix, a2: IntMatrix) -> IntMatrix:
-    rows = []
-    for i in range(a1.rows):
-        rows.append(list(a1.data[i]) + [0] * a2.cols)
-    for i in range(a2.rows):
-        rows.append([0] * a1.cols + list(a2.data[i]))
-    return IntMatrix(rows)
+class SumShape3(_SumShape):
+    """3-sum blocks: left = [B 0 0 0; b1^t 1 0 1; b2^t 0 1 1] and
+    right = [c1^t 1 0 1; c2^t 0 1 1; C 0 0 0]."""
+
+    k = 2
 
 
-def _assemble_sum2(l: IntMatrix, r: IntMatrix) -> IntMatrix:
-    g1, n1 = l.rows - 1, l.cols - 1
-    g2, n2 = r.rows - 1, r.cols - 1
-    rows = []
-    for i in range(g1):
-        rows.append(list(l.data[i][:n1]) + [0] * n2 + [0])
-    rows.append(list(l.data[g1][:n1]) + list(r.data[0][:n2]) + [1])
-    for i in range(g2):
-        rows.append([0] * n1 + list(r.data[1 + i][:n2]) + [0])
-    return IntMatrix(rows)
-
-
-def _assemble_sum3(l: IntMatrix, r: IntMatrix) -> IntMatrix:
-    g1, n1 = l.rows - 2, l.cols - 3
-    g2, n2 = r.rows - 2, r.cols - 3
-    rows = []
-    for i in range(g1):
-        rows.append(list(l.data[i][:n1]) + [0] * n2 + [0, 0, 0])
-    rows.append(list(l.data[g1][:n1]) + list(r.data[0][:n2]) + [1, 0, 1])
-    rows.append(list(l.data[g1 + 1][:n1]) + list(r.data[1][:n2]) + [0, 1, 1])
-    for i in range(g2):
-        rows.append([0] * n1 + list(r.data[2 + i][:n2]) + [0, 0, 0])
+def _assemble(left: IntMatrix, right: IntMatrix, k: int) -> IntMatrix:
+    """Glue [B 0; b T] and [c T; C 0] along their k shared rows into
+    [B 0 0; b c T; 0 C 0]; k = 0 gives the block diagonal."""
+    t = len(_TAILS[k])
+    g1, n1, n2 = left.rows - k, left.cols - t, right.cols - t
+    rows = [list(row[:n1]) + [0] * (n2 + t) for row in left.data[:g1]]
+    rows += [list(lrow[:n1]) + list(rrow[:n2]) + list(lrow[n1:])
+             for lrow, rrow in zip(left.data[g1:], right.data[:k])]
+    rows += [[0] * n1 + list(row[:n2]) + [0] * t for row in right.data[k:]]
     return IntMatrix(rows)
 
 
@@ -300,16 +235,15 @@ def _finish_sum(a: IntMatrix) -> TUMatrix:
 
 def seymour_sum1(a1: TUMatrix, a2: TUMatrix) -> TUMatrix:
     """Block-diagonal composition of two simple TU matrices."""
-    m1 = _require_simple_tu(a1, "left")
-    m2 = _require_simple_tu(a2, "right")
-    return _finish_sum(_assemble_sum1(m1, m2))
+    _check_sum_blocks(a1, a2, 0)
+    return _finish_sum(_assemble(a1.inner, a2.inner, 0))
 
 
 def seymour_sum2(s: SumShape2) -> TUMatrix:
     """Glue the two blocks along the shared unit column: [B 0 0; b^t c^t 1; 0 C 0]."""
-    return _finish_sum(_assemble_sum2(s.left.inner, s.right.inner))
+    return _finish_sum(_assemble(s.left.inner, s.right.inner, s.k))
 
 
 def seymour_sum3(s: SumShape3) -> TUMatrix:
     """Glue along the shared rank-2 triangle pattern (three tail columns kept)."""
-    return _finish_sum(_assemble_sum3(s.left.inner, s.right.inner))
+    return _finish_sum(_assemble(s.left.inner, s.right.inner, s.k))

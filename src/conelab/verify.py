@@ -45,6 +45,7 @@ from .quadforms import (
     q0_principal,
     q5,
     q5_families,
+    sum_coupling,
     well_suited_sum1,
     well_suited_sum2,
     well_suited_sum3,
@@ -441,86 +442,50 @@ def verify_seymour_pipeline(samples: int = 200, seed: int = DEFAULT_SEED) -> Rep
     )
 
     # square-completion bound for the shared-column sum: >= 3/4, tight at 1
-    tight = Fraction(1) - Fraction(1, 4)
-    bound_ok, tight_seen = _check_sum2_bounds(rng, samples)
+    left2 = fixtures.load_matrix("SUM2_LEFT_Q.txt")
     rep.add(
         f"shared-column bound >= 3/4 on {samples} samples per side, tight case 3/4",
-        (bound_ok, tight_seen == Fraction(3, 4) and tight == Fraction(3, 4)),
+        (_schur_bound_holds(left2, 1, Fraction(3, 4), rng, samples),
+         _schur_value(left2, 1, (1,)) == Fraction(3, 4)),
         (True, True),
         "derived: sampling; tight at the unit vector",
     )
 
     # triangle-sum bound: >= 3/4 on the zero-coupling fixture; the coupled
     # fixture shows the sharp constant is 2/3, attained
-    zc_ok = _check_sum3_bound(("SUM3Z_LEFT_Q.txt", 1), rng, samples, Fraction(3, 4))
-    coupled_ok = _check_sum3_bound(("SUM3_LEFT_Q.txt", 1), rng, samples, Fraction(2, 3))
-    coupled_tight = _sum3_bound_value("SUM3_LEFT_Q.txt", (1,))
+    left3z = fixtures.load_matrix("SUM3Z_LEFT_Q.txt")
+    left3 = fixtures.load_matrix("SUM3_LEFT_Q.txt")
     rep.add(
         "triangle-sum bound: >= 3/4 (zero coupling), sharp 2/3 attained (coupled)",
-        (zc_ok, coupled_ok, coupled_tight),
+        (_schur_bound_holds(left3z, 2, Fraction(3, 4), rng, samples),
+         _schur_bound_holds(left3, 2, Fraction(2, 3), rng, samples),
+         _schur_value(left3, 2, (1,))),
         (True, True, Fraction(2, 3)),
         "derived: sampling; the 3/4 constant does not extend to coupled fixtures",
     )
     return rep
 
 
-def _split2(qname: str):
-    q = fixtures.load_matrix(qname)
-    g1 = q.rows - 1
-    q1 = RatMatrix([row[:g1] for row in q.data[:g1]])
-    r1 = [q.data[i][g1] for i in range(g1)]
-    return q1, r1
+def _schur_value(q: RatMatrix, k: int, xi) -> Fraction:
+    """Q1(xi) - u^t C^-1 u with u = B1^t xi, for the left form
+    q = [Q1 B1; B1^t C] of a k-sum: its Schur-complement term in the value
+    of the glued form (see quadforms._glue)."""
+    g1 = q.rows - k
+    u = [sum(q.data[i][g1 + s] * x for i, x in enumerate(xi)) for s in range(k)]
+    head = sum(q.data[i][j] * xi[i] * xi[j] for i in range(g1) for j in range(g1))
+    return head - sum_coupling(u, u, k)
 
 
-def _check_sum2_bounds(rng, samples) -> tuple:
-    q1, r1 = _split2("SUM2_LEFT_Q.txt")
-    ok = True
-    best = None
+def _schur_bound_holds(q: RatMatrix, k: int, floor, rng, samples: int) -> bool:
+    """The Schur value is at least `floor` at `samples` random nonzero
+    integer vectors."""
     for _ in range(samples):
-        xi = [rng.randint(-9, 9) for _ in range(q1.rows)]
-        if all(x == 0 for x in xi):
+        xi = [rng.randint(-9, 9) for _ in range(q.rows - k)]
+        if not any(xi):
             xi[0] = 1
-        val = _eval(q1, xi) - sum(a * b for a, b in zip(r1, xi)) ** 2
-        if val < Fraction(3, 4):
-            ok = False
-        if best is None or val < best:
-            best = val
-    # force the tight sample into the record
-    tight_val = _eval(q1, [1]) - sum(r1) ** 2
-    best = tight_val if best is None or tight_val < best else best
-    return ok and tight_val == Fraction(3, 4), best
-
-
-def _split3(qname: str):
-    q = fixtures.load_matrix(qname)
-    g1 = q.rows - 2
-    q1 = RatMatrix([row[:g1] for row in q.data[:g1]])
-    r1 = [q.data[i][g1] for i in range(g1)]
-    s1 = [q.data[i][g1 + 1] for i in range(g1)]
-    return q1, r1, s1
-
-
-def _sum3_bound_value(qname: str, xi) -> Fraction:
-    q1, r1, s1 = _split3(qname)
-    a = sum(x * y for x, y in zip(r1, xi))
-    b = sum(x * y for x, y in zip(s1, xi))
-    return _eval(q1, xi) - Fraction(4, 3) * (a * a + b * b + a * b)
-
-
-def _check_sum3_bound(source, rng, samples, floor_val) -> bool:
-    qname, g1 = source
-    for _ in range(samples):
-        xi = [rng.randint(-9, 9) for _ in range(g1)]
-        if all(x == 0 for x in xi):
-            xi[0] = 1
-        if _sum3_bound_value(qname, tuple(xi)) < floor_val:
+        if _schur_value(q, k, xi) < floor:
             return False
     return True
-
-
-def _eval(q: RatMatrix, xi) -> Fraction:
-    return sum(q.data[i][j] * xi[i] * xi[j]
-               for i in range(q.rows) for j in range(q.rows))
 
 
 # ---------------------------------------------------------------------------

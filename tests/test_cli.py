@@ -126,6 +126,16 @@ def test_vor_and_zonotope_commands(capsys):
     assert code == 0 and "true" in out
 
 
+def test_zonotope_check_rejects_rank_deficient_matrix(capsys, tmp_path):
+    # a simple TU matrix of rank 2 in 3 rows: its summed form is only
+    # semi-definite, so there is no zonotope to compare; rejected up front
+    p = tmp_path / "rank2.txt"
+    p.write_text("3 2\n1 0\n0 1\n0 0\n")
+    code, out, err = _cap(capsys, ["zonotope-check", str(p)])
+    assert (code, out) == (2, "")
+    assert err == "input error: zonotope check needs a matrix of full row rank, got rank 2 < 3\n"
+
+
 def test_mat_commands(capsys):
     code, out, _ = _cap(capsys, ["mat", "det", "QHEX.txt"])
     assert code == 0 and "3" in out
@@ -260,6 +270,7 @@ def test_every_operation_is_reachable():
         "delone.voronoi_polytope", "delone.minkowski_sum_check",
         "verify.verify_r10", "verify.verify_principal",
         "verify.verify_taxonomy_g2", "verify.verify_seymour_pipeline",
+        "verify.verify_dicings",
     ]
     for op in listed_ops:
         assert op in OPERATION_COVERAGE, f"operation {op} missing from the table"
@@ -302,6 +313,18 @@ GOLDEN = {
     "verify_r10": ["verify", "r10"],
     "verify_taxonomy_g2": ["verify", "taxonomy-g2"],
     "verify_principal_g3": ["verify", "principal", "--g", "3"],
+    "verify_seymour": ["verify", "seymour"],
+    "sum1_AK3_AK3": ["sum", "1", "AK3.txt", "AK3.txt"],
+    "sum2_SUM2": ["sum", "2", "SUM2_LEFT_A.txt", "SUM2_RIGHT_A.txt"],
+    "sum3_SUM3": ["sum", "3", "SUM3_LEFT_A.txt", "SUM3_RIGHT_A.txt"],
+    "sum3_SUM3Z": ["sum", "3", "SUM3Z_LEFT_A.txt", "SUM3Z_RIGHT_A.txt"],
+    "qf_sum1_K3_K3": ["qf", "sum", "1", "Q0_2.txt", "AK3.txt", "Q0_2.txt", "AK3.txt"],
+    "qf_sum2_SUM2": ["qf", "sum", "2", "SUM2_LEFT_Q.txt", "SUM2_LEFT_A.txt",
+                     "SUM2_RIGHT_Q.txt", "SUM2_RIGHT_A.txt"],
+    "qf_sum3_SUM3": ["qf", "sum", "3", "SUM3_LEFT_Q.txt", "SUM3_LEFT_A.txt",
+                     "SUM3_RIGHT_Q.txt", "SUM3_RIGHT_A.txt"],
+    "qf_sum3_SUM3Z": ["qf", "sum", "3", "SUM3Z_LEFT_Q.txt", "SUM3Z_LEFT_A.txt",
+                      "SUM3Z_RIGHT_Q.txt", "SUM3Z_RIGHT_A.txt"],
 }
 
 

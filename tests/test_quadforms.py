@@ -23,7 +23,7 @@ from conelab.quadforms import (
     q5,
     q5_families,
     rational_rank_normal_form,
-    sum3_coupling,
+    sum_coupling,
     well_suited_sum1,
     well_suited_sum2,
     well_suited_sum3,
@@ -315,7 +315,8 @@ def test_sum3_coupling_cancellation():
         s1 = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(g1)]
         r2 = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(g2)]
         s2 = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(g2)]
-        m = sum3_coupling(r1, s1, r2, s2)
+        m = [[sum_coupling((r1[i], s1[i]), (r2[j], s2[j]), 2) for j in range(g2)]
+             for i in range(g1)]
 
         def bilinear_b(xi1, xi2):
             a1 = sum(a * b for a, b in zip(r1, xi1))
@@ -348,6 +349,15 @@ def test_sum_constructor_requires_exact_fixed_entries():
     fake = WellSuitedPair(scaled, a_left)  # bypasses .check on purpose
     with pytest.raises(ValueError):
         well_suited_sum2(fake, _pair("SUM2_RIGHT_Q.txt", "SUM2_RIGHT_A.txt"))
+
+
+def test_sum3_constructor_requires_the_central_block():
+    # a 3-sum form whose central 2x2 block is not [[1, -1/2], [-1/2, 1]]
+    a_right = TUMatrix.check(load_int_matrix("SUM3_RIGHT_A.txt"))
+    scaled = QuadForm(load_matrix("SUM3_RIGHT_Q.txt")).scale(2)
+    fake = WellSuitedPair(scaled, a_right)  # bypasses .check on purpose
+    with pytest.raises(ValueError, match="right form must carry"):
+        well_suited_sum3(_pair("SUM3_LEFT_Q.txt", "SUM3_LEFT_A.txt"), fake)
 
 
 def test_verification_failure_raises():

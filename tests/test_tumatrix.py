@@ -10,9 +10,7 @@ from conelab.tumatrix import (
     SumShape2,
     SumShape3,
     TUMatrix,
-    _assemble_sum1,
-    _assemble_sum2,
-    _assemble_sum3,
+    _assemble,
     equivalent_unimodular,
     is_simple_matrix,
     is_totally_unimodular,
@@ -140,18 +138,38 @@ def test_sum2_block_example():
     assert is_totally_unimodular(out.inner)
 
 
-def test_sum2_rejects_zero_column_in_block():
-    right = TUMatrix.check(load_int_matrix("SUM2_RIGHT_A.txt"))
-    bad_left = TUMatrix(IntMatrix([[0, 1, 0], [1, -1, 1]]))
+# per shape: the valid right block, a left block with a zero or repeated
+# column, and a simple TU left block whose tail columns are wrong
+REJECTIONS = {
+    SumShape2: (
+        "SUM2_RIGHT_A.txt",
+        [[0, 1, 0], [1, -1, 1]],
+        [[1, 0, 1], [0, 1, 1]],
+    ),
+    SumShape3: (
+        "SUM3_RIGHT_A.txt",
+        [[0, 1, 1, 0, 0, 0], [0, -1, 0, 1, 0, 1], [0, 0, 1, 0, 1, 1]],
+        [[1, 1, 1, 0, 0, 0], [0, -1, 0, 0, 1, 1], [0, 0, 1, 1, 0, 1]],
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", list(REJECTIONS), ids=lambda s: s.__name__)
+def test_sum_rejects_zero_column_in_block(shape):
+    right_name, zero_col, _ = REJECTIONS[shape]
+    right = TUMatrix.check(load_int_matrix(right_name))
+    bad_left = TUMatrix(IntMatrix(zero_col))
     with pytest.raises((ValueError, BlockShapeError)):
-        SumShape2(bad_left, right)
+        shape(bad_left, right)
 
 
-def test_sum2_rejects_wrong_tail_column():
-    right = TUMatrix.check(load_int_matrix("SUM2_RIGHT_A.txt"))
-    bad_left = TUMatrix.check(IntMatrix([[1, 0, 1], [0, 1, 1]]))
+@pytest.mark.parametrize("shape", list(REJECTIONS), ids=lambda s: s.__name__)
+def test_sum_rejects_wrong_tail_column(shape):
+    right_name, _, wrong_tail = REJECTIONS[shape]
+    right = TUMatrix.check(load_int_matrix(right_name))
+    bad_left = TUMatrix.check(IntMatrix(wrong_tail))
     with pytest.raises(BlockShapeError):
-        SumShape2(bad_left, right)
+        shape(bad_left, right)
 
 
 def test_sum3_fixture():
@@ -177,14 +195,14 @@ def test_sum_tu_iff_blocks_tu():
     r1 = load_int_matrix("SUM2_RIGHT_A.txt")
     bad = [list(row) for row in l1.data]
     bad[0][0] = 2
-    assembled = _assemble_sum2(IntMatrix(bad), r1)
+    assembled = _assemble(IntMatrix(bad), r1, 1)
     assert not is_totally_unimodular(assembled)
 
     a10 = r10_matrix()
     bad10 = [list(row) for row in a10.data]
     bad10[0][5] = 1  # sign flip creates a submatrix with |det| = 2
     assert not is_totally_unimodular(IntMatrix(bad10))
-    assembled = _assemble_sum1(IntMatrix(bad10), IntMatrix([[1]]))
+    assembled = _assemble(IntMatrix(bad10), IntMatrix([[1]]), 0)
     assert not is_totally_unimodular(assembled)
 
     l3 = load_int_matrix("SUM3_LEFT_A.txt")
@@ -192,7 +210,7 @@ def test_sum_tu_iff_blocks_tu():
     bad3 = [list(row) for row in l3.data]
     bad3[0][1] = -bad3[0][1]  # this sign flip creates a |det| = 2 submatrix
     assert not is_totally_unimodular(IntMatrix(bad3))
-    assembled = _assemble_sum3(IntMatrix(bad3), r3)
+    assembled = _assemble(IntMatrix(bad3), r3, 2)
     assert not is_totally_unimodular(assembled)
 
 
