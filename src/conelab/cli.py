@@ -59,14 +59,12 @@ from .matroids import (
     is_simple,
     matroid_isomorphic,
     parse_graph,
-    r10_matrix,
     vector_matroid,
 )
 from .quadforms import (
     QuadForm,
     WellSuitedPair,
     h_functional,
-    is_perfect,
     is_positive_definite,
     is_well_suited,
     minimal_vectors,
@@ -131,6 +129,15 @@ def _read_graph(path: str):
 
 def _read_cone(path: str) -> RayCone:
     return RayCone.from_json_dict(json.loads(_resolve(path).read_text()))
+
+
+def _read_indices(text: str, cone: RayCone) -> list:
+    """Comma-separated generator indices of the cone, each in range."""
+    idx = [int(x) for x in text.split(",")] if text else []
+    for i in idx:
+        if not 0 <= i < len(cone.generators):
+            raise InputError(f"generator index {i} out of range")
+    return idx
 
 
 def _matrix_json(m) -> list:
@@ -369,8 +376,9 @@ def cmd_qf_show(args) -> int:
 
 def cmd_qf_h_value(args) -> int:
     if args.vector:
-        v = [int(x) for x in args.vector.split(",")]
-        val = h_functional(v)
+        val = h_functional([int(x) for x in args.vector.split(",")])
+    elif args.form is None:
+        raise InputError("qf h-value needs a form file or --vector")
     else:
         val = h_functional(_read_matrix(args.form))
     _emit(args, {"value": str(val)}, [f"value: {val}"])
@@ -428,8 +436,7 @@ def cmd_cone_face(args) -> int:
 
 def cmd_cone_support(args) -> int:
     cone = _read_cone(args.cone)
-    sub = [int(x) for x in args.zero.split(",")] if args.zero else []
-    cert = find_supporting_functional(sub, cone)
+    cert = find_supporting_functional(_read_indices(args.zero, cone), cone)
     if cert is None:
         _emit(args, {"certificate": None}, ["no supporting functional"])
         return 1
@@ -443,8 +450,7 @@ def cmd_cone_support(args) -> int:
 
 def cmd_cone_delete(args) -> int:
     cone = _read_cone(args.cone)
-    idx = [int(x) for x in args.indices.split(",")] if args.indices else []
-    out = face_by_deletion(cone, idx)
+    out = face_by_deletion(cone, _read_indices(args.indices, cone))
     _emit(args, out.to_json_dict(), [f"generators: {len(out.generators)}"])
     return 0
 
@@ -540,60 +546,6 @@ def cmd_verify(args) -> int:
     else:
         print(rep.to_text())
     return 0 if rep.status == "pass" else 1
-
-
-# ---------------------------------------------------------------------------
-# dispatch table (also consumed by the coverage test)
-
-OPERATION_COVERAGE = {
-    "exactcore.determinant": ["mat det"],
-    "exactcore.hermite_normal_form": ["mat hnf"],
-    "exactcore.solve_exact": ["mat solve"],
-    "exactcore.ldlt_decompose": ["mat ldlt"],
-    "tumatrix.is_totally_unimodular": ["tu check"],
-    "tumatrix.is_unimodular": ["tu witness"],
-    "tumatrix.equivalent_unimodular": ["tu equivalent"],
-    "tumatrix.seymour_sum1": ["sum 1"],
-    "tumatrix.seymour_sum2": ["sum 2"],
-    "tumatrix.seymour_sum3": ["sum 3"],
-    "matroids.vector_matroid": ["matroid info"],
-    "matroids.circuits": ["matroid info"],
-    "matroids.is_simple": ["matroid info"],
-    "matroids.graphic_representation": ["graph graphic"],
-    "matroids.cographic_representation": ["graph cographic"],
-    "matroids.r10_matrix": ["verify r10"],
-    "matroids.matroid_isomorphic": ["matroid isomorphic"],
-    "quadforms.is_positive_definite": ["qf is-pd"],
-    "quadforms.rational_rank_normal_form": ["qf rank-normal"],
-    "quadforms.minimal_vectors": ["qf minvec"],
-    "quadforms.perfect_cone_of": ["qf perfect-cone"],
-    "quadforms.is_perfect": ["qf perfect-cone"],
-    "quadforms.is_well_suited": ["qf well-suited"],
-    "quadforms.well_suited_sum1": ["qf sum 1"],
-    "quadforms.well_suited_sum2": ["qf sum 2"],
-    "quadforms.well_suited_sum3": ["qf sum 3"],
-    "quadforms.q5": ["qf show q5"],
-    "quadforms.q0_principal": ["qf show q0"],
-    "quadforms.h_functional": ["qf h-value"],
-    "cones.sigma_of_matrix": ["cone of-matrix"],
-    "cones.face_by_deletion": ["cone delete"],
-    "cones.membership": ["cone member"],
-    "cones.principal_cone_contains": ["cone principal-contains"],
-    "cones.gl_conjugate": ["cone conjugate"],
-    "cones.find_supporting_functional": ["cone support", "cone face"],
-    "cones.is_face": ["cone face"],
-    "delone.delone_subdivision": ["delone"],
-    "delone.dicing_subdivision": ["dicing"],
-    "delone.subdivisions_equal": ["delone --against"],
-    "delone.secondary_cone_check": ["dicing-check"],
-    "delone.voronoi_polytope": ["vor"],
-    "delone.minkowski_sum_check": ["zonotope-check"],
-    "verify.verify_r10": ["verify r10"],
-    "verify.verify_principal": ["verify principal"],
-    "verify.verify_taxonomy_g2": ["verify taxonomy-g2"],
-    "verify.verify_seymour_pipeline": ["verify seymour"],
-    "verify.verify_dicings": ["verify dicings"],
-}
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -55,6 +55,15 @@ def pairing_coefficients(v: Sequence[int]) -> tuple:
     return tuple(out)
 
 
+def rank_one_sum(vectors, weights=None) -> RatMatrix:
+    """The symmetric matrix sum_i w_i v_i v_i^t (every weight 1 by default)."""
+    if weights is None:
+        weights = [1] * len(vectors)
+    g = len(vectors[0])
+    return RatMatrix([[sum(w * v[i] * v[j] for w, v in zip(weights, vectors))
+                       for j in range(g)] for i in range(g)])
+
+
 def evaluate_functional(h: RatMatrix, v: Sequence[int]) -> Fraction:
     """Frobenius pairing of the symmetric functional H with vv^t, i.e. v^t H v."""
     acc = Fraction(0)
@@ -72,11 +81,9 @@ class RayCone:
     g: int
     generators: tuple
     simplicial: bool
-    provenance: str = "other"
 
     @classmethod
-    def from_vectors(cls, g: int, vectors, simplicial: Optional[bool] = None,
-                     provenance: str = "other") -> "RayCone":
+    def from_vectors(cls, g: int, vectors, simplicial: Optional[bool] = None) -> "RayCone":
         gens = []
         for v in vectors:
             if len(v) != g:
@@ -93,7 +100,7 @@ class RayCone:
             simplicial = indep
         elif simplicial and not indep:
             raise ValueError("generators claimed simplicial but are dependent")
-        return cls(g, gens, simplicial, provenance)
+        return cls(g, gens, simplicial)
 
     def span_dimension(self) -> int:
         if not self.generators:
@@ -109,8 +116,11 @@ class RayCone:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "RayCone":
+        for key in ("g", "generators"):
+            if key not in d:
+                raise ValueError(f"cone JSON lacks the field {key!r}")
         if not d["generators"]:
-            return cls(int(d["g"]), (), True, "other")
+            return cls(int(d["g"]), (), True)
         return cls.from_vectors(int(d["g"]), d["generators"],
                                 simplicial=bool(d.get("simplicial", False)))
 
@@ -122,7 +132,7 @@ def _linearly_independent(gens) -> bool:
     return rank(m) == len(gens)
 
 
-def sigma_of_matrix(a: TUMatrix, provenance: str = "matroidal") -> RayCone:
+def sigma_of_matrix(a: TUMatrix) -> RayCone:
     """Cone of the column outer products of a simple unimodular matrix.
 
     Such cones are simplicial; the constructor re-verifies independence and
@@ -131,7 +141,7 @@ def sigma_of_matrix(a: TUMatrix, provenance: str = "matroidal") -> RayCone:
     m = a.inner
     if m.rows and not is_simple_matrix(m):
         raise ValueError("matrix has zero or proportional columns")
-    cone = RayCone.from_vectors(m.rows, m.columns(), provenance=provenance)
+    cone = RayCone.from_vectors(m.rows, m.columns())
     if not cone.simplicial:
         raise ValueError("column outer products are dependent; input not unimodular")
     return cone
@@ -143,7 +153,7 @@ def face_by_deletion(c: RayCone, indices) -> RayCone:
         if not (0 <= i < len(c.generators)):
             raise IndexError(f"generator index {i} out of range")
     kept = tuple(v for i, v in enumerate(c.generators) if i not in drop)
-    return RayCone(c.g, kept, c.simplicial, c.provenance)
+    return RayCone(c.g, kept, c.simplicial)
 
 
 def membership(q, c: RayCone) -> Optional[tuple]:
@@ -189,10 +199,8 @@ def principal_cone_contains(q) -> bool:
 def gl_conjugate(h: IntMatrix, c: RayCone) -> RayCone:
     if abs(determinant(h.to_rational())) != 1:
         raise ValueError("conjugating matrix must have determinant +-1")
-    return RayCone.from_vectors(
-        c.g, [h.mul_vector(v) for v in c.generators],
-        simplicial=c.simplicial, provenance=c.provenance,
-    )
+    return RayCone.from_vectors(c.g, [h.mul_vector(v) for v in c.generators],
+                                simplicial=c.simplicial)
 
 
 @dataclass(frozen=True)

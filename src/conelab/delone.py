@@ -35,6 +35,7 @@ from .exact import (
     RatMatrix,
     canonical_sign,
     clear_denominators,
+    greedy_basis,
     hermite_normal_form,
     int_determinant,
     invert,
@@ -42,7 +43,8 @@ from .exact import (
     rank,
     solve_exact,
 )
-from .lp import solve_standard_min
+from .cones import rank_one_sum
+from .lp import feasible_nonneg_combination
 from .quadforms import (
     QuadForm,
     VerificationError,
@@ -200,31 +202,18 @@ def _ellipsoid_inside_window(adj, det: int, aff, r: int) -> bool:
     return True
 
 
-def _cell_meets_box(vertices, lo, hi) -> bool:
-    """conv(vertices) intersects the box [lo, hi]^g, decided by exact LP."""
-    verts = list(vertices)
-    g = len(verts[0])
-    n = len(verts)
-    # variables: lam (n), u (g), w (g):  sum lam v - u = 0, u + w = hi - lo,
-    # sum lam = 1;  u = point - lo
-    nvars = n + 2 * g
-    a_eq = []
-    b_eq = []
-    for i in range(g):
-        row = [Fraction(v[i]) for v in verts] + [Fraction(0)] * (2 * g)
-        row[n + i] = Fraction(-1)
-        a_eq.append(row)
-        b_eq.append(Fraction(lo))
-    for i in range(g):
-        row = [Fraction(0)] * nvars
-        row[n + i] = Fraction(1)
-        row[n + g + i] = Fraction(1)
-        a_eq.append(row)
-        b_eq.append(Fraction(hi) - Fraction(lo))
-    a_eq.append([Fraction(1)] * n + [Fraction(0)] * (2 * g))
-    b_eq.append(Fraction(1))
-    res = solve_standard_min([Fraction(0)] * nvars, a_eq, b_eq)
-    return res.status == "optimal"
+def _cell_meets_box(vertices) -> bool:
+    """conv(vertices) meets the unit cube [0, 1]^g, decided by exact LP:
+    lam, u, w >= 0 with sum lam v - u = 0, u + w = 1 and sum lam = 1, one
+    column (v, 0, 1) per vertex, (-e_i, e_i, 0) per u_i and (0, e_i, 0) per
+    w_i."""
+    g = len(vertices[0])
+    zeros = (0,) * g
+    units = [tuple(int(i == k) for i in range(g)) for k in range(g)]
+    cols = [(*v, *zeros, 1) for v in vertices]
+    cols += [(*(-x for x in e), *e, 0) for e in units]
+    cols += [(*zeros, *e, 0) for e in units]
+    return feasible_nonneg_combination(cols, (*zeros, *(1,) * g, 1)) is not None
 
 
 def delone_subdivision(q: QuadForm, window_radius: Optional[int] = None) -> PeriodicSubdivision:
@@ -350,7 +339,7 @@ def _pull_back(inner_cells, h: IntMatrix, g: int, r: int) -> PeriodicSubdivision
         ranges = [range(a - max(c), b - min(c) + 1) for a, b, c in zip(lo, hi, zip(*cell))]
         for shift in product(*ranges):
             pts = [p for v in cell for p in buckets.get(tuple(map(add, v, shift)), ())]
-            if pts and _cell_meets_box(pts, 0, 1):
+            if pts and _cell_meets_box(pts):
                 cells.add(normalize_cell(pts))
     return PeriodicSubdivision(g, r, frozenset(cells))
 
@@ -425,11 +414,7 @@ def _lattice_points_near_origin(cols, g):
     basis B of g columns, B^t x is integral and in [-1, 1]^g, and B is
     unimodular, so each such x is B^-t y for some y in {-1, 0, 1}^g.
     """
-    basis = []
-    for v in cols:
-        if rank(IntMatrix(basis + [v])) > len(basis):
-            basis.append(v)
-    binv = invert(IntMatrix(basis))
+    binv = invert(IntMatrix([cols[i] for i in greedy_basis(cols)]))
     near = []
     for y in product((-1, 0, 1), repeat=g):
         x = tuple(int(sum(row[t] * y[t] for t in range(g))) for row in binv.data)
@@ -446,8 +431,10 @@ def _dot(v, p):
 # secondary cones
 
 
-def delone_with_window_growth(q: QuadForm, window_radius: Optional[int] = None,
-                              max_growth: int = 4):
+WINDOW_GROWTH = 4  # radii a window may grow by before the WindowError stands
+
+
+def delone_with_window_growth(q: QuadForm, window_radius: Optional[int] = None):
     """Delone subdivision, raising the window until the cells certify.
 
     Returns (subdivision, radius used).  Very skew forms need a larger
@@ -455,16 +442,16 @@ def delone_with_window_growth(q: QuadForm, window_radius: Optional[int] = None,
     classes themselves do not depend on the radius once certified.
     """
     r = default_window(q.g) if window_radius is None else window_radius
-    for extra in range(max_growth + 1):
+    for extra in range(WINDOW_GROWTH + 1):
         try:
             return delone_subdivision(q, r + extra), r + extra
         except WindowError:
-            if extra == max_growth:
+            if extra == WINDOW_GROWTH:
                 raise
     raise AssertionError("unreachable")
 
 
-def secondary_cone_check(a: TUMatrix, samples: int, rng, window_radius: Optional[int] = None) -> bool:
+def secondary_cone_check(a: TUMatrix, samples: int, rng) -> bool:
     """Interior forms of the cone of A all reproduce the dicing of A.
 
     Draws strictly positive rational weights, builds the weighted sum of
@@ -472,17 +459,11 @@ def secondary_cone_check(a: TUMatrix, samples: int, rng, window_radius: Optional
     Skew samples that outgrow the default window are recomputed in a
     larger one, together with the dicing they are compared against.
     """
-    m = a.inner
-    g = m.rows
-    r0 = default_window(g) if window_radius is None else window_radius
+    cols = a.inner.columns()
     dicings = {}
-    cols = m.columns()
     for _ in range(samples):
         lam = [Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in cols]
-        rows = [[sum(l * v[i] * v[j] for l, v in zip(lam, cols))
-                 for j in range(g)] for i in range(g)]
-        q = QuadForm(RatMatrix(rows))
-        sub, r = delone_with_window_growth(q, r0)
+        sub, r = delone_with_window_growth(QuadForm(rank_one_sum(cols, lam)))
         if r not in dicings:
             dicings[r] = dicing_subdivision(a, r)
         if not subdivisions_equal(sub, dicings[r]):
@@ -577,20 +558,14 @@ def _degenerate_voronoi(q: QuadForm, radius: int) -> VPolytope:
 # zonotopes
 
 
-def _extreme_points(points, g):
+def _extreme_points(points):
     """Filter a finite set down to the vertices of its convex hull (exact LPs)."""
     pts = sorted(set(points))
     out = []
     for i, p in enumerate(pts):
-        others = [qq for j, qq in enumerate(pts) if j != i]
-        if not others:
-            out.append(p)
-            continue
-        a_eq = [[Fraction(o[k]) for o in others] for k in range(g)]
-        a_eq.append([Fraction(1)] * len(others))
-        b_eq = [Fraction(x) for x in p] + [Fraction(1)]
-        res = solve_standard_min([Fraction(0)] * len(others), a_eq, b_eq)
-        if res.status != "optimal":
+        # p is a vertex unless it is a convex combination of the others
+        others = [(*o, 1) for j, o in enumerate(pts) if j != i]
+        if not others or feasible_nonneg_combination(others, (*p, 1)) is None:
             out.append(p)
     return out
 
@@ -604,7 +579,7 @@ def minkowski_sum_vertices(segments, g):
         for p in pts:
             new.append(tuple(a + b for a, b in zip(p, half)))
             new.append(tuple(a - b for a, b in zip(p, half)))
-        pts = _extreme_points(new, g)
+        pts = _extreme_points(new)
     return sorted(pts)
 
 
@@ -622,9 +597,7 @@ def minkowski_sum_check(a: TUMatrix, radius: int = 3) -> bool:
     if r < g:
         raise ValueError(f"zonotope check needs a matrix of full row rank, got rank {r} < {g}")
     cols = m.columns()
-    rows = [[sum(Fraction(v[i] * v[j]) for v in cols) for j in range(g)]
-            for i in range(g)]
-    q = QuadForm(RatMatrix(rows))
+    q = QuadForm(rank_one_sum(cols))
     vor = voronoi_polytope(q, radius)
     qinv = invert(q.matrix)
     segs = [qinv.mul_vector([Fraction(x) for x in v]) for v in cols]

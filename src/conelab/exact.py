@@ -326,6 +326,14 @@ def rank(a: Union[IntMatrix, RatMatrix]) -> int:
     return len(_rref([clear_denominators(row)[0] for row in a.data], a.cols))
 
 
+def greedy_basis(vectors: Sequence[Sequence]) -> list:
+    """Indices of the vectors (ints or Fractions) that are independent of
+    the ones before them: the pivot columns of one elimination of the
+    matrix with these columns."""
+    rows = [clear_denominators(row)[0] for row in zip(*vectors)]
+    return _rref(rows, len(vectors))
+
+
 # ---------------------------------------------------------------------------
 # linear systems
 

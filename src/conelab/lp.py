@@ -167,11 +167,17 @@ def _dual_from_basis(rows, c, basis, m):
 def feasible_nonneg_combination(
     columns: Sequence[Sequence[Fraction]], target: Sequence[Fraction]
 ) -> Optional[tuple]:
-    """Find lambda >= 0 with sum(lambda_j * columns[j]) = target, or None."""
+    """Find lambda >= 0 with sum(lambda_j * columns[j]) = target, or None.
+
+    Every conic feasibility question in the package (cone membership, a
+    cell meeting the unit cube, a point outside the hull of others) comes
+    through here.  Entries may be ints or Fractions; the simplex converts
+    each one once.
+    """
     m = len(target)
     if any(len(col) != m for col in columns):
         raise ValueError("column length mismatch")
-    a_eq = [[Fraction(columns[j][i]) for j in range(len(columns))] for i in range(m)]
+    a_eq = [[col[i] for col in columns] for i in range(m)]
     res = solve_standard_min([_ZERO] * len(columns), a_eq, target)
     if res.status != "optimal":
         return None

@@ -7,11 +7,11 @@ here (n <= 14).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Tuple
 
-from .exact import IntMatrix, int_determinant, rank
+from .exact import IntMatrix, greedy_basis, int_determinant
 
 _EXCHANGE_CHECK_LIMIT = 12
 
@@ -80,30 +80,19 @@ def _bits(mask: int):
 
 def vector_matroid(a: IntMatrix) -> Matroid:
     """Matroid of the columns of A over the rationals."""
-    r = rank(a)
+    # pick a row basis once; column independence then reduces to a square det
+    row_basis = greedy_basis(a.data)
+    r = len(row_basis)
     n = a.cols
     labels = tuple(str(j) for j in range(n))
     if r == 0:
         return Matroid(n, labels, frozenset({0}), 0)
-    # pick a row basis once; column independence then reduces to a square det
-    row_basis = _row_basis(a, r)
     bases = set()
     for cols_idx in combinations(range(n), r):
         sub = [tuple(a.data[i][j] for j in cols_idx) for i in row_basis]
         if int_determinant(sub) != 0:
             bases.add(_mask(cols_idx))
     return Matroid(n, labels, frozenset(bases), r)
-
-
-def _row_basis(a: IntMatrix, r: int):
-    chosen = []
-    for i in range(a.rows):
-        trial = chosen + [i]
-        if rank(IntMatrix([a.data[k] for k in trial])) == len(trial):
-            chosen = trial
-            if len(chosen) == r:
-                break
-    return chosen
 
 
 def circuits(m: Matroid) -> frozenset:
@@ -142,35 +131,16 @@ class Graph:
 
     num_vertices: int
     edges: Tuple[Tuple[int, int], ...]
-    edge_labels: Tuple[str, ...] = field(default=())
 
     def __post_init__(self):
         for u, v in self.edges:
             if not (0 <= u < self.num_vertices and 0 <= v < self.num_vertices):
                 raise ValueError("edge endpoint out of range")
-        if not self.edge_labels:
-            object.__setattr__(
-                self, "edge_labels", tuple(f"e{i}" for i in range(len(self.edges)))
-            )
         if not self.is_connected():
             raise ValueError("graph must be connected")
 
     def is_connected(self) -> bool:
-        if self.num_vertices == 0:
-            return False
-        seen = {0}
-        stack = [0]
-        adj = [[] for _ in range(self.num_vertices)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.num_vertices
+        return _induced_connected(self, set(range(self.num_vertices)))
 
     @property
     def genus(self) -> int:
@@ -185,6 +155,8 @@ def parse_graph(text: str) -> Graph:
     """Graph text format: header "V E", then E lines "u v" (0-indexed)."""
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    if not lines:
+        raise ValueError("empty graph file")
     v, e = (int(x) for x in lines[0].split())
     edges = []
     for ln in lines[1 : e + 1]:
@@ -240,7 +212,6 @@ def cographic_representation(g: Graph) -> IntMatrix:
             adj[u].append((v, idx))
             adj[v].append((u, idx))
     parent_edge = {0: None}
-    order = [0]
     stack = [0]
     tree = set()
     while stack:
@@ -249,10 +220,7 @@ def cographic_representation(g: Graph) -> IntMatrix:
             if w not in parent_edge:
                 parent_edge[w] = idx
                 tree.add(idx)
-                order.append(w)
                 stack.append(w)
-    if len(parent_edge) != g.num_vertices:
-        raise ValueError("graph must be connected")
 
     def path_to_root(v):
         # signed traversal v -> root: +1 when a tree edge is crossed tail

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .cones import RayCone
+from .cones import RayCone, evaluate_functional, rank_one_sum
 from .exact import (
     DimensionError,
     IntMatrix,
@@ -58,12 +58,7 @@ class QuadForm:
         return self.matrix.rows
 
     def __call__(self, xi: Sequence[int]) -> Fraction:
-        acc = Fraction(0)
-        data = self.matrix.data
-        for i, a in enumerate(xi):
-            if a:
-                acc += a * sum(data[i][j] * b for j, b in enumerate(xi) if b)
-        return acc
+        return evaluate_functional(self.matrix, xi)
 
     def scale(self, c) -> "QuadForm":
         return QuadForm(self.matrix.scale(c))
@@ -202,7 +197,7 @@ def minimal_vectors(q: QuadForm) -> MinimalVectorSet:
 def perfect_cone_of(q: QuadForm) -> RayCone:
     """Cone generated by the outer products of the minimal vectors."""
     mv = minimal_vectors(q)
-    return RayCone.from_vectors(q.g, mv.vectors, provenance="perfect")
+    return RayCone.from_vectors(q.g, mv.vectors)
 
 
 def is_perfect(q: QuadForm) -> bool:
@@ -295,12 +290,11 @@ def h_functional(alpha) -> Fraction:
     """Frobenius pairing <H, S> = sum_ij H_ij S_ij with h_functional_matrix().
 
     Each ordered off-diagonal pair is counted, so a rank-one array vv^t
-    scores sum_{i != j} H_ij v_i v_j.  A length-5 integer vector is
-    accepted as shorthand for its outer product.
+    scores sum_{i != j} H_ij v_i v_j.  An integer vector is accepted
+    as shorthand for its outer product.
     """
-    if isinstance(alpha, (list, tuple)) and len(alpha) == 5 and not isinstance(alpha[0], (list, tuple)):
-        v = [Fraction(x) for x in alpha]
-        mat = RatMatrix([[v[i] * v[j] for j in range(5)] for i in range(5)])
+    if isinstance(alpha, (list, tuple)) and alpha and not isinstance(alpha[0], (list, tuple)):
+        mat = rank_one_sum([[Fraction(x) for x in alpha]])
     elif isinstance(alpha, QuadForm):
         mat = alpha.matrix
     elif isinstance(alpha, RatMatrix):

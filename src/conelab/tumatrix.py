@@ -18,9 +18,11 @@ from typing import ClassVar, Optional
 from .exact import (
     DimensionError,
     IntMatrix,
+    canonical_sign,
     hermite_normal_form,
     int_determinant,
     invert,
+    primitive,
     rank,
 )
 
@@ -73,20 +75,10 @@ class TUMatrix:
 
 
 def is_simple_matrix(a: IntMatrix) -> bool:
-    """No zero column and no pair of proportional columns."""
-    cols = a.columns()
-    for c in cols:
-        if all(x == 0 for x in c):
-            return False
-    for c1, c2 in combinations(cols, 2):
-        if _proportional(c1, c2):
-            return False
-    return True
-
-
-def _proportional(u, v) -> bool:
-    # cross-ratio test without division: u, v nonzero integer vectors
-    return all(u[i] * v[j] == u[j] * v[i] for i in range(len(u)) for j in range(i + 1, len(u)))
+    """No zero column and no pair of proportional columns: the columns'
+    sign-normalized primitive vectors are nonzero and distinct."""
+    keys = [canonical_sign(primitive(c)[0]) for c in a.columns()]
+    return all(any(k) for k in keys) and len(set(keys)) == len(keys)
 
 
 def is_unimodular(a: IntMatrix) -> Optional[IntMatrix]:

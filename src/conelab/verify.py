@@ -19,6 +19,7 @@ from .cones import (
     FaceCertificate,
     RayCone,
     evaluate_functional,
+    rank_one_sum,
     find_supporting_functional,
     membership,
     principal_cone_contains,
@@ -36,7 +37,6 @@ from .matroids import complete_graph, graphic_representation
 from .quadforms import (
     QuadForm,
     WellSuitedPair,
-    h_functional,
     h_functional_matrix,
     is_perfect,
     is_positive_definite,
@@ -151,9 +151,10 @@ def verify_r10(a10: Optional[IntMatrix] = None,
     a = a10 if a10 is not None else fixtures.load_int_matrix("A10.txt")
     qq = q5()
 
+    tu = is_totally_unimodular(a)
     rep.add(
         "representation matrix is totally unimodular and simple",
-        (is_totally_unimodular(a), is_simple_matrix(a)),
+        (tu, is_simple_matrix(a)),
         (True, True),
         "fixture A10.txt",
     )
@@ -183,8 +184,8 @@ def verify_r10(a10: Optional[IntMatrix] = None,
         ([Fraction(0)], [Fraction(-2)], [Fraction(0)], [Fraction(-2)]),
         "fixed cyclic functional",
     )
-    cone10 = sigma_of_matrix(TUMatrix(a, verified=is_totally_unimodular(a)))
-    cone20 = RayCone.from_vectors(5, mv.vectors, provenance="perfect")
+    cone10 = sigma_of_matrix(TUMatrix(a, verified=tu))
+    cone20 = RayCone.from_vectors(5, mv.vectors)
     sub = [i for i, v in enumerate(cone20.generators)
            if v in set(cone10.generators)]
     face_ok = False
@@ -241,8 +242,7 @@ def verify_principal(g: int, samples: int = 100, seed: int = DEFAULT_SEED) -> Re
     ok_in = True
     for _ in range(samples):
         lam = [Fraction(rng.randint(0, 8), rng.randint(1, 3)) for _ in cone.generators]
-        qm = _combo(cone, lam)
-        if not principal_cone_contains(qm):
+        if not principal_cone_contains(rank_one_sum(cone.generators, lam)):
             ok_in = False
             break
     rep.add(
@@ -273,13 +273,6 @@ def verify_principal(g: int, samples: int = 100, seed: int = DEFAULT_SEED) -> Re
         "derived: violator spot check",
     )
     return rep
-
-
-def _combo(cone: RayCone, lam) -> QuadForm:
-    g = cone.g
-    rows = [[sum(l * v[i] * v[j] for l, v in zip(lam, cone.generators))
-             for j in range(g)] for i in range(g)]
-    return QuadForm(RatMatrix(rows))
 
 
 def _random_inequality_form(g: int, rng) -> QuadForm:
@@ -351,7 +344,7 @@ def verify_taxonomy_g2(samples: int = 5, seed: int = DEFAULT_SEED) -> Report:
         for _ in range(samples):
             lam = [Fraction(rng.randint(1, 6), rng.randint(1, 3))
                    for _ in cone.generators]
-            got, r = delone_with_window_growth(_combo(cone, lam))
+            got, r = delone_with_window_growth(QuadForm(rank_one_sum(cone.generators, lam)))
             if r not in ref_cache:
                 ref_cache[r] = [delone_subdivision(QuadForm(m), r) for m in del_reps]
             if not subdivisions_equal(got, ref_cache[r][idx]):

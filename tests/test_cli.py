@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from conelab import cli, quadforms
-from conelab.cli import OPERATION_COVERAGE, build_parser, run
+from conelab.cli import build_parser, run
 
 
 def _cap(capsys, argv):
@@ -136,6 +136,24 @@ def test_zonotope_check_rejects_rank_deficient_matrix(capsys, tmp_path):
     assert err == "input error: zonotope check needs a matrix of full row rank, got rank 2 < 3\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["qf", "h-value", "--vector", "1,2,3,4"], "functional is defined on 5x5 arrays"),
+    (["qf", "h-value"], "qf h-value needs a form file or --vector"),
+    (["cone", "support", "{cone}", "--zero", "99"], "generator index 99 out of range"),
+    (["cone", "delete", "{cone}", "--indices", "99"], "generator index 99 out of range"),
+    (["cone", "face", "{bare}", "{cone}"], "cone JSON lacks the field 'generators'"),
+    (["graph", "graphic", "{empty}"], "empty graph file"),
+])
+def test_bad_input_exits_2(capsys, tmp_path, argv, message):
+    files = {"cone": tmp_path / "cone.json", "bare": tmp_path / "bare.json",
+             "empty": tmp_path / "empty.graph"}
+    files["cone"].write_text('{"g": 2, "generators": [[1, 0], [0, 1]], "simplicial": true}')
+    files["bare"].write_text('{"g": 2}')
+    files["empty"].write_text("")
+    argv = [a.format(**files) for a in argv]
+    assert _cap(capsys, argv) == (2, "", f"input error: {message}\n")
+
+
 def test_mat_commands(capsys):
     code, out, _ = _cap(capsys, ["mat", "det", "QHEX.txt"])
     assert code == 0 and "3" in out
@@ -213,9 +231,61 @@ def test_internal_runtime_error_exits_3(capsys, monkeypatch):
     assert err == "internal error: dual system inconsistent\n"
 
 
+# every library operation and the subcommands that reach it
+OPERATION_COVERAGE = {
+    "exactcore.determinant": ["mat det"],
+    "exactcore.hermite_normal_form": ["mat hnf"],
+    "exactcore.solve_exact": ["mat solve"],
+    "exactcore.ldlt_decompose": ["mat ldlt"],
+    "tumatrix.is_totally_unimodular": ["tu check"],
+    "tumatrix.is_unimodular": ["tu witness"],
+    "tumatrix.equivalent_unimodular": ["tu equivalent"],
+    "tumatrix.seymour_sum1": ["sum 1"],
+    "tumatrix.seymour_sum2": ["sum 2"],
+    "tumatrix.seymour_sum3": ["sum 3"],
+    "matroids.vector_matroid": ["matroid info"],
+    "matroids.circuits": ["matroid info"],
+    "matroids.is_simple": ["matroid info"],
+    "matroids.graphic_representation": ["graph graphic"],
+    "matroids.cographic_representation": ["graph cographic"],
+    "matroids.r10_matrix": ["verify r10"],
+    "matroids.matroid_isomorphic": ["matroid isomorphic"],
+    "quadforms.is_positive_definite": ["qf is-pd"],
+    "quadforms.rational_rank_normal_form": ["qf rank-normal"],
+    "quadforms.minimal_vectors": ["qf minvec"],
+    "quadforms.perfect_cone_of": ["qf perfect-cone"],
+    "quadforms.is_perfect": ["qf perfect-cone"],
+    "quadforms.is_well_suited": ["qf well-suited"],
+    "quadforms.well_suited_sum1": ["qf sum 1"],
+    "quadforms.well_suited_sum2": ["qf sum 2"],
+    "quadforms.well_suited_sum3": ["qf sum 3"],
+    "quadforms.q5": ["qf show q5"],
+    "quadforms.q0_principal": ["qf show q0"],
+    "quadforms.h_functional": ["qf h-value"],
+    "cones.sigma_of_matrix": ["cone of-matrix"],
+    "cones.face_by_deletion": ["cone delete"],
+    "cones.membership": ["cone member"],
+    "cones.principal_cone_contains": ["cone principal-contains"],
+    "cones.gl_conjugate": ["cone conjugate"],
+    "cones.find_supporting_functional": ["cone support", "cone face"],
+    "cones.is_face": ["cone face"],
+    "delone.delone_subdivision": ["delone"],
+    "delone.dicing_subdivision": ["dicing"],
+    "delone.subdivisions_equal": ["delone --against"],
+    "delone.secondary_cone_check": ["dicing-check"],
+    "delone.voronoi_polytope": ["vor"],
+    "delone.minkowski_sum_check": ["zonotope-check"],
+    "verify.verify_r10": ["verify r10"],
+    "verify.verify_principal": ["verify principal"],
+    "verify.verify_taxonomy_g2": ["verify taxonomy-g2"],
+    "verify.verify_seymour_pipeline": ["verify seymour"],
+    "verify.verify_dicings": ["verify dicings"],
+}
+
+
 def test_every_operation_is_reachable():
-    """Coverage of the dispatch table: every library operation maps to at
-    least one subcommand, and the named subcommands all exist."""
+    """Every library operation maps to at least one subcommand, and the
+    named subcommands all exist."""
     parser = build_parser()
     top = {}
     for action in parser._subparsers._group_actions:
@@ -247,35 +317,9 @@ def test_every_operation_is_reachable():
             return any(parts[1] in a.option_strings for a in sp._actions)
         return parts[1] in subnames
 
-    listed_ops = [
-        "exactcore.determinant", "exactcore.hermite_normal_form",
-        "exactcore.solve_exact", "exactcore.ldlt_decompose",
-        "tumatrix.is_totally_unimodular", "tumatrix.is_unimodular",
-        "tumatrix.equivalent_unimodular", "tumatrix.seymour_sum1",
-        "tumatrix.seymour_sum2", "tumatrix.seymour_sum3",
-        "matroids.vector_matroid", "matroids.circuits", "matroids.is_simple",
-        "matroids.graphic_representation", "matroids.cographic_representation",
-        "matroids.r10_matrix", "matroids.matroid_isomorphic",
-        "quadforms.is_positive_definite", "quadforms.rational_rank_normal_form",
-        "quadforms.minimal_vectors", "quadforms.perfect_cone_of",
-        "quadforms.is_perfect", "quadforms.is_well_suited",
-        "quadforms.well_suited_sum1", "quadforms.well_suited_sum2",
-        "quadforms.well_suited_sum3", "quadforms.q5", "quadforms.q0_principal",
-        "quadforms.h_functional",
-        "cones.sigma_of_matrix", "cones.face_by_deletion", "cones.membership",
-        "cones.principal_cone_contains", "cones.gl_conjugate",
-        "cones.find_supporting_functional", "cones.is_face",
-        "delone.delone_subdivision", "delone.dicing_subdivision",
-        "delone.subdivisions_equal", "delone.secondary_cone_check",
-        "delone.voronoi_polytope", "delone.minkowski_sum_check",
-        "verify.verify_r10", "verify.verify_principal",
-        "verify.verify_taxonomy_g2", "verify.verify_seymour_pipeline",
-        "verify.verify_dicings",
-    ]
-    for op in listed_ops:
-        assert op in OPERATION_COVERAGE, f"operation {op} missing from the table"
-        assert OPERATION_COVERAGE[op], f"operation {op} has no subcommand"
-        for cmd in OPERATION_COVERAGE[op]:
+    for op, cmds in OPERATION_COVERAGE.items():
+        assert cmds, f"operation {op} has no subcommand"
+        for cmd in cmds:
             assert command_exists(cmd), f"{cmd} (for {op}) does not exist"
 
 

@@ -229,5 +229,4 @@ def test_face_transitivity():
 def test_cone_json_roundtrip():
     c = sigma_of_matrix(AK3)
     d = c.to_json_dict()
-    again = RayCone.from_json_dict(d)
-    assert again.generators == c.generators and again.g == c.g
+    assert RayCone.from_json_dict(d) == c

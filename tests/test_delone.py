@@ -2,7 +2,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -440,6 +440,40 @@ def test_rank_deficient_subdivisions_are_pinned():
     assert sum(line.startswith("WindowError") for line in lines) == 32
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == PINNED_RANK_DEFICIENT, digest
+
+
+def _slab_classes(m, r):
+    """Classes of the dicing of m in the window of radius r, by a direct
+    scan of the slab cells {x : k <= m^t x <= k+1}: those with affine rank
+    g that hold a vertex of the unit cube.  m is TU, so [m^t; I] is TU and
+    a slab cell meets the cube exactly when it holds a cube vertex; the
+    slab indices k are read off the cube vertices."""
+    g = m.rows
+    cols = m.columns()
+    window = list(product(range(-r, r + 2), repeat=g))
+    dots = {x: tuple(sum(a * b for a, b in zip(v, x)) for v in cols) for x in window}
+    slabs = {k for c in product((0, 1), repeat=g)
+             for k in product(*[(d - 1, d) for d in dots[c]])}
+    classes = set()
+    for k in slabs:
+        pts = [x for x in window if all(t <= d <= t + 1 for t, d in zip(k, dots[x]))]
+        if rank(IntMatrix([[a - b for a, b in zip(p, pts[0])] for p in pts])) == g:
+            classes.add(normalize_cell(pts))
+    return classes
+
+
+@pytest.mark.parametrize("r", (2, 3))
+def test_rank_deficient_dicings_match_a_slab_scan(r):
+    """The dicing of A_S for every rank-deficient support S of the five
+    fixture systems equals the slab scan of the window, which uses no
+    Hermite normal form, no pull-back and no LP."""
+    systems = [load_int_matrix(f"{name}.txt") for name in ("AK3", "AK4", "I2", "I3")]
+    systems.append(cographic_representation(load_graph("THETA.graph")))
+    supports = [(m, s) for m in systems for s in _rank_deficient_supports(m)]
+    assert len(supports) == 39
+    for m, s in supports:
+        a_s = m.submatrix(range(m.rows), s)
+        assert set(dicing_subdivision(TUMatrix.check(a_s), r).cells) == _slab_classes(a_s, r)
 
 
 # recorded with the fixed shift box of the Delone branch and the slab

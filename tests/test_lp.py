@@ -5,11 +5,14 @@ nonsingular square subsystem (Bareiss determinants), so it shares no
 elimination code with the simplex it checks.
 """
 
+import ast
 import hashlib
 import random
 from fractions import Fraction as F
 from itertools import combinations
+from pathlib import Path
 
+import conelab
 from conelab.cones import find_supporting_functional
 from conelab.exact import RatMatrix, determinant
 from conelab.lp import GeneralResult, StandardResult, solve_lp, solve_standard_min
@@ -234,3 +237,19 @@ def test_programs_without_rows():
     assert solve_standard_min([F(1), F(-2)], [], []).status == "unbounded"
     assert solve_lp([F(0), F(0)]) == GeneralResult("optimal", (0, 0), 0)
     assert solve_lp([F(1), F(0)]).status == "unbounded"
+
+
+def test_only_lp_calls_the_simplex():
+    """Every other module asks its LP questions through lp's front doors
+    (feasible_nonneg_combination, solve_lp), never the simplex itself."""
+    callers = []
+    for path in sorted(Path(conelab.__file__).parent.glob("*.py")):
+        if path.name == "lp.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                fn = node.func
+                name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
+                if name == "solve_standard_min":
+                    callers.append(f"{path.name}:{node.lineno}")
+    assert callers == []
