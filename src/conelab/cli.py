@@ -530,8 +530,7 @@ def cmd_verify(args) -> int:
         rep = verify_r10(seed=seed)
     elif args.scenario == "principal":
         if args.g is None:
-            print("verify principal needs --g", file=sys.stderr)
-            return 2
+            raise InputError("verify principal needs --g")
         rep = verify_principal(args.g, samples=args.samples or 100, seed=seed)
     elif args.scenario == "taxonomy-g2":
         rep = verify_taxonomy_g2(samples=args.samples or 5, seed=seed)

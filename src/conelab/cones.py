@@ -3,7 +3,8 @@
 A cone is stored through the primitive integer vectors v whose outer
 products vv^t generate it.  Symmetric matrices are flattened into the
 coordinate basis {E_ii} + {E_ij + E_ji}, so membership and span questions
-become exact linear algebra, and face questions become small exact LPs.
+become exact linear algebra, and face questions become small exact
+feasibility LPs.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .exact import (
     rank,
     solve_exact,
 )
-from .lp import feasible_nonneg_combination, solve_lp
+from .lp import feasible_nonneg_combination
 from .tumatrix import TUMatrix, is_simple_matrix
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -237,54 +238,27 @@ def _coords_to_matrix(g: int, coords) -> RatMatrix:
 def find_supporting_functional(sub, c: RayCone) -> Optional[FaceCertificate]:
     """Search a symmetric H with H-value 0 on `sub` and < 0 on the rest.
 
-    Solved by exact LP: maximize the worst-case slack t subject to
-    value <= -t on the complement, value = 0 on `sub`, and the box
-    normalization |H_coord| <= 1.  A positive optimum is a certificate
-    that the sub-generators span a face; optimum zero certifies that no
-    such supporting hyperplane exists.
+    Strict inequalities are scale-invariant, so this asks the feasibility
+    question <H, vv^t> = 0 on `sub` and <H, vv^t> + s_v = -1 off it, with
+    H = H+ - H- and slacks s_v >= 0.  A solution is a certificate (values
+    <= -1 off the face), re-checked by `validate_face_certificate`; None
+    means no supporting hyperplane exists.
     """
     sub = sorted(set(sub))
     n = len(c.generators)
     for i in sub:
         if not (0 <= i < n):
             raise IndexError(f"generator index {i} out of range")
-    complement = [j for j in range(n) if j not in set(sub)]
-    g = c.g
-    m = g * (g + 1) // 2
-    if not complement:
-        zero = RatMatrix.zeros(g, g)
-        return FaceCertificate(zero, tuple(sub), (), tuple(Fraction(0) for _ in range(n)))
-
-    # variables: H coords (m of them) then t
-    nvar = m + 1
-    a_eq = []
-    b_eq = []
-    for i in sub:
-        a_eq.append(list(pairing_coefficients(c.generators[i])) + [Fraction(0)])
-        b_eq.append(Fraction(0))
-    a_ub = []
-    b_ub = []
-    for j in complement:
-        a_ub.append(list(pairing_coefficients(c.generators[j])) + [Fraction(1)])
-        b_ub.append(Fraction(0))
-    for k in range(m):
-        row = [Fraction(0)] * nvar
-        row[k] = Fraction(1)
-        a_ub.append(list(row))
-        b_ub.append(Fraction(1))
-        row2 = [Fraction(0)] * nvar
-        row2[k] = Fraction(-1)
-        a_ub.append(row2)
-        b_ub.append(Fraction(1))
-    trow = [Fraction(0)] * nvar
-    trow[m] = Fraction(-1)
-    a_ub.append(trow)
-    b_ub.append(Fraction(0))
-    cost = [Fraction(0)] * m + [Fraction(1)]
-    res = solve_lp(cost, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, maximize=True)
-    if res.status != "optimal" or res.objective <= 0:
+    complement = sorted(set(range(n)) - set(sub))
+    rows = [pairing_coefficients(c.generators[i]) for i in sub + complement]
+    m = c.g * (c.g + 1) // 2
+    columns = [[row[k] for row in rows] for k in range(m)]
+    columns += [[-v for v in col] for col in columns]
+    columns += [[int(i == len(sub) + j) for i in range(n)] for j in range(len(complement))]
+    x = feasible_nonneg_combination(columns, [0] * len(sub) + [-1] * len(complement))
+    if x is None:
         return None
-    h = _coords_to_matrix(g, res.x[:m])
+    h = _coords_to_matrix(c.g, [p - q for p, q in zip(x[:m], x[m:2 * m])])
     values = tuple(evaluate_functional(h, v) for v in c.generators)
     cert = FaceCertificate(h, tuple(sub), tuple(complement), values)
     if not validate_face_certificate(cert, c, sub):  # pragma: no cover

@@ -61,11 +61,17 @@ class WindowError(ValueError):
     """The window radius is too small to certify the cells near the origin."""
 
 
-def default_window(g: int) -> int:
-    try:
-        return DEFAULT_WINDOW[g]
-    except KeyError:
-        raise ValueError("subdivisions are supported for g <= 4") from None
+def window_radius_for(g: int, window_radius: Optional[int]) -> int:
+    """The window radius a subdivision uses: the default for g, otherwise
+    the given radius, which must be at least 2."""
+    if window_radius is None:
+        try:
+            return DEFAULT_WINDOW[g]
+        except KeyError:
+            raise ValueError("subdivisions are supported for g <= 4") from None
+    if window_radius < 2:
+        raise ValueError("window radius must be at least 2")
+    return window_radius
 
 
 def normalize_cell(points) -> tuple:
@@ -230,9 +236,7 @@ def delone_subdivision(q: QuadForm, window_radius: Optional[int] = None) -> Peri
     are rejected.
     """
     g = q.g
-    r = default_window(g) if window_radius is None else window_radius
-    if r < 2:
-        raise ValueError("window radius must be at least 2")
+    r = window_radius_for(g, window_radius)
     if not is_positive_definite(q):
         return _degenerate_delone(q, r)
 
@@ -370,7 +374,7 @@ def dicing_subdivision(a: TUMatrix, window_radius: Optional[int] = None) -> Peri
 
     m = a.inner
     g = m.rows
-    r = default_window(g) if window_radius is None else window_radius
+    r = window_radius_for(g, window_radius)
     if not is_simple_matrix(m):
         raise ValueError("dicing requires a simple matrix")
     if is_unimodular(m) is None:
@@ -441,7 +445,7 @@ def delone_with_window_growth(q: QuadForm, window_radius: Optional[int] = None):
     window for the circumscribed-ellipsoid certificates; the subdivision
     classes themselves do not depend on the radius once certified.
     """
-    r = default_window(q.g) if window_radius is None else window_radius
+    r = window_radius_for(q.g, window_radius)
     for extra in range(WINDOW_GROWTH + 1):
         try:
             return delone_subdivision(q, r + extra), r + extra

@@ -143,13 +143,16 @@ def test_zonotope_check_rejects_rank_deficient_matrix(capsys, tmp_path):
     (["cone", "delete", "{cone}", "--indices", "99"], "generator index 99 out of range"),
     (["cone", "face", "{bare}", "{cone}"], "cone JSON lacks the field 'generators'"),
     (["graph", "graphic", "{empty}"], "empty graph file"),
+    (["dicing", "{strip}", "--window", "0"], "window radius must be at least 2"),
+    (["verify", "principal"], "verify principal needs --g"),
 ])
 def test_bad_input_exits_2(capsys, tmp_path, argv, message):
     files = {"cone": tmp_path / "cone.json", "bare": tmp_path / "bare.json",
-             "empty": tmp_path / "empty.graph"}
+             "empty": tmp_path / "empty.graph", "strip": tmp_path / "strip.txt"}
     files["cone"].write_text('{"g": 2, "generators": [[1, 0], [0, 1]], "simplicial": true}')
     files["bare"].write_text('{"g": 2}')
     files["empty"].write_text("")
+    files["strip"].write_text("3 2\n1 0\n0 1\n0 0\n")
     argv = [a.format(**files) for a in argv]
     assert _cap(capsys, argv) == (2, "", f"input error: {message}\n")
 
@@ -220,15 +223,15 @@ def test_failed_reverification_is_an_internal_error(capsys, monkeypatch):
 
 
 def test_internal_runtime_error_exits_3(capsys, monkeypatch):
-    # an internal fault (here a stand-in for an inconsistent dual system)
+    # an internal fault (here a stand-in for an invalid LP certificate)
     # is reported as such, not as a traceback or an input error
     def broken(q, radius):
-        raise RuntimeError("dual system inconsistent")
+        raise RuntimeError("LP produced an invalid certificate")
 
     monkeypatch.setattr(cli, "voronoi_polytope", broken)
     code, out, err = _cap(capsys, ["vor", "I2.txt"])
     assert (code, out) == (3, "")
-    assert err == "internal error: dual system inconsistent\n"
+    assert err == "internal error: LP produced an invalid certificate\n"
 
 
 # every library operation and the subcommands that reach it

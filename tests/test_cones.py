@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -20,8 +21,9 @@ from conelab.exact import IntMatrix, RatMatrix
 from conelab.fixtures import load_int_matrix
 from conelab.lp import feasible_nonneg_combination
 from conelab.matroids import complete_graph, graphic_representation, r10_matrix
-from conelab.quadforms import QuadForm, h_functional_matrix, perfect_cone_of, q5
+from conelab.quadforms import QuadForm, h_functional_matrix, perfect_cone_of, q0_principal, q5
 from conelab.tumatrix import TUMatrix
+from test_delone import D4
 
 AK3 = TUMatrix.check(graphic_representation(complete_graph(3)))
 
@@ -181,6 +183,32 @@ def test_r10_face_certificate():
         tuple(F(0) for _ in range(20)),
     )
     assert not validate_face_certificate(zero, c5, sub)
+
+
+def _face_questions():
+    """Seeded generator subsets, of every size, of the perfect cones of
+    q0_principal(2..5), Q5 and D4."""
+    rng = random.Random(909)
+    cones = [perfect_cone_of(q0_principal(g)) for g in (2, 3, 4, 5)]
+    cones += [perfect_cone_of(q5()), perfect_cone_of(D4)]
+    for cone in cones:
+        n = len(cone.generators)
+        for _ in range(20):
+            yield cone, sorted(rng.sample(range(n), rng.randint(0, n)))
+
+
+def test_face_decisions_are_pinned():
+    """Face or not is a property of the cones, not of the LP that decides
+    it; the decisions were recorded with the earlier optimising face LP."""
+    lines = [repr((cone.g, len(cone.generators), sub,
+                   find_supporting_functional(sub, cone) is None))
+             for cone, sub in _face_questions()]
+    assert 0 < sum(line.endswith("True)") for line in lines) < len(lines)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == PINNED_FACE_DECISIONS, digest
+
+
+PINNED_FACE_DECISIONS = "8d160dc137d28cfca7a3fb9c16b8fb3c41bf0bbe436d297c6eba2803af4fd004"
 
 
 def test_is_face_examples():

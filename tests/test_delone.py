@@ -30,6 +30,9 @@ HEX = QuadForm(load_matrix("QHEX.txt"))
 I2 = QuadForm(load_matrix("I2.txt"))
 AK3 = TUMatrix.check(load_int_matrix("AK3.txt"))
 AK4 = TUMatrix.check(load_int_matrix("AK4.txt"))
+# the D4 root lattice: perfect, with 12 minimal-vector pairs whose cone is
+# not simplicial
+D4 = QuadForm.from_rows([[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]])
 
 
 def test_delone_examples():
@@ -224,8 +227,10 @@ def test_skew_dicing_does_not_depend_on_the_window():
             verts = _region_vertices(cols, ks, 2)
             if len(verts) > 2 and _affine_rank(verts) == 2:
                 expected.add(normalize_cell(verts))
-        for r in (1, 2, 6):
+        for r in (2, 6):
             assert set(dicing_subdivision(a, r).cells) == expected
+        with pytest.raises(ValueError, match="at least 2"):
+            dicing_subdivision(a, 1)
 
 
 def test_subdivisions_equal_guards():
@@ -339,8 +344,7 @@ def test_voronoi_gl_equivariance_random_conjugates():
 
 
 def test_voronoi_g4_counts():
-    d4 = QuadForm.from_rows([[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]])
-    v = voronoi_polytope(d4)
+    v = voronoi_polytope(D4)
     assert (len(v.halfspaces), len(v.vertices)) == (24, 24)  # the 24-cell
     v = voronoi_polytope(q0_principal(4))
     assert (len(v.halfspaces), len(v.vertices)) == (20, 30)  # A4

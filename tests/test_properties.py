@@ -1,6 +1,7 @@
 """Property tests on generated inputs: scaling and GL_g(Z) invariance of
-Delone subdivisions, radius independence of full-rank dicings, and the
-dicing identity on the boundary of the cone.
+Delone subdivisions, radius independence of full-rank dicings, the
+dicing identity on the boundary of the cone, and GL_g(Z) invariance of
+face decisions in perfect cones.
 
 Examples are derandomized, so the suite draws the same inputs every run.
 """
@@ -10,18 +11,19 @@ from fractions import Fraction as F
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conelab.cones import find_supporting_functional, gl_conjugate, validate_face_certificate
 from conelab.delone import (
     WindowError,
     delone_subdivision,
     delone_with_window_growth,
     dicing_subdivision,
 )
-from conelab.exact import IntMatrix
+from conelab.exact import IntMatrix, canonical_sign, primitive
 from conelab.fixtures import load_graph, load_int_matrix
 from conelab.matroids import cographic_representation
-from conelab.quadforms import QuadForm, is_positive_definite
+from conelab.quadforms import QuadForm, is_positive_definite, perfect_cone_of, q0_principal
 from conelab.tumatrix import TUMatrix
-from test_delone import _mapped_cells, _rank_deficient_supports
+from test_delone import D4, _mapped_cells, _rank_deficient_supports
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
 
@@ -134,3 +136,48 @@ def test_semidefinite_delone_is_the_dicing_of_its_support(sums, r):
         return  # the definite block does not certify in this window
     a = TUMatrix(IntMatrix([list(row) for row in zip(*cols)]))
     assert sub.cells == dicing_subdivision(a, r).cells
+
+
+# the perfect cones of q0_principal(g) are simplicial, so every generator
+# subset spans a face there; the D4 cone (12 rays in dimension 10) is not
+PERFECT_CONES = [perfect_cone_of(D4)]
+PERFECT_CONES += [perfect_cone_of(q0_principal(g)) for g in (2, 3, 4)]
+
+
+@st.composite
+def face_questions(draw):
+    """A perfect cone P, a subset S of its generators and a unimodular h."""
+    cone = draw(st.sampled_from(PERFECT_CONES))
+    n = len(cone.generators)
+    order = draw(st.permutations(range(n)))
+    sub = sorted(order[:draw(st.integers(0, n))])
+    return cone, sub, draw(unimodular(cone.g))
+
+
+def _checked_face(sub, cone):
+    """find_supporting_functional(sub, cone) is not None, with its
+    certificate re-checked: zero on S and at most -1 off it."""
+    cert = find_supporting_functional(sub, cone)
+    if cert is not None:
+        assert validate_face_certificate(cert, cone, sub)
+        assert all(cert.values[j] <= -1 for j in range(len(cone.generators))
+                   if j not in sub)
+    return cert is not None
+
+
+@PROPERTY
+@given(face_questions())
+@example((PERFECT_CONES[0], [0, 1, 6, 11], IntMatrix([[1, 1, 0, 0], [0, 1, 0, 0],
+                                                      [0, 0, 1, 0], [0, 0, -1, -1]])))
+@example((PERFECT_CONES[0], [0, 1, 2, 6, 11], IntMatrix([[1, 0, 0, 0], [1, 1, 0, 0],
+                                                         [0, 1, 1, 0], [0, 0, 1, 1]])))
+def test_face_decisions_are_gl_invariant(question):
+    cone, sub, h = question
+    image = gl_conjugate(h, cone)
+    index = {v: i for i, v in enumerate(image.generators)}
+    mapped = sorted(index[canonical_sign(primitive(h.mul_vector(cone.generators[i]))[0])]
+                    for i in sub)
+    face = _checked_face(sub, cone)
+    assert _checked_face(mapped, image) == face
+    if cone.simplicial:
+        assert face
