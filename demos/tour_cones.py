@@ -10,7 +10,7 @@ from conelab.cones import (
     membership,
     sigma_of_matrix,
 )
-from conelab.matroids import r10_matrix
+from conelab.fixtures import load_int_matrix
 from conelab.quadforms import (
     QuadForm,
     minimal_vectors,
@@ -40,7 +40,7 @@ def main():
 
     print()
     print("=== the rank-5 showpiece ===")
-    a10 = r10_matrix()
+    a10 = load_int_matrix("A10.txt")
     print("columns are 10 of the 20 minimal vectors of")
     print("Q5 =", q5().matrix)
     print("A10 totally unimodular:", is_totally_unimodular(a10))

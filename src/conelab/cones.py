@@ -2,8 +2,8 @@
 
 A cone is stored through the primitive integer vectors v whose outer
 products vv^t generate it.  Symmetric matrices are flattened into the
-coordinate basis {E_ii} + {E_ij + E_ji}, so membership and span questions
-become exact linear algebra, and face questions become small exact
+coordinate basis {E_ii} + {E_ij + E_ji}, so span questions become exact
+linear algebra, and membership and face questions become small exact
 feasibility LPs.
 """
 
@@ -22,7 +22,6 @@ from .exact import (
     determinant,
     primitive,
     rank,
-    solve_exact,
 )
 from .lp import feasible_nonneg_combination
 from .tumatrix import TUMatrix, is_simple_matrix
@@ -158,30 +157,16 @@ def face_by_deletion(c: RayCone, indices) -> RayCone:
 
 
 def membership(q, c: RayCone) -> Optional[tuple]:
-    """Nonnegative coefficients expressing q over the cone generators.
+    """Nonnegative coefficients expressing q over the cone generators, or None.
 
-    Solved as an exact linear system when the cone is simplicial (the
-    coefficients are then unique), otherwise as an LP feasibility problem.
+    One LP feasibility problem for every cone.  When the cone is simplicial
+    the coefficients are unique, so the LP returns exactly them.
     """
     mat = q.matrix if hasattr(q, "matrix") else q
     if mat.rows != c.g:
         raise DimensionError("form dimension does not match the cone")
-    target = sym_coords(mat)
-    if not c.generators:
-        return () if all(x == 0 for x in target) else None
     cols = [rank_one_coords(v) for v in c.generators]
-    if c.simplicial:
-        a = RatMatrix(list(zip(*cols)))
-        sol = solve_exact(a, target)
-        if sol is None:
-            return None
-        lam = sol.x
-        # solution may be non-unique only if generators were dependent
-        if any(x < 0 for x in lam):
-            return None
-        return tuple(lam)
-    lam = feasible_nonneg_combination(cols, target)
-    return None if lam is None else tuple(lam)
+    return feasible_nonneg_combination(cols, sym_coords(mat))
 
 
 def principal_cone_contains(q) -> bool:
@@ -281,8 +266,9 @@ def validate_face_certificate(cert: FaceCertificate, c: RayCone, sub) -> bool:
     return True
 
 
-def is_face(sub_cone: RayCone, c: RayCone) -> bool:
-    """Whether sub_cone is a face of c, certified by a supporting functional."""
+def is_face(sub_cone: RayCone, c: RayCone) -> Optional[FaceCertificate]:
+    """The supporting functional that certifies sub_cone as a face of c, or
+    None when sub_cone is not a face."""
     if sub_cone.g != c.g:
         raise DimensionError("cone dimensions do not match")
     index = {v: i for i, v in enumerate(c.generators)}
@@ -290,6 +276,6 @@ def is_face(sub_cone: RayCone, c: RayCone) -> bool:
     for v in sub_cone.generators:
         if v not in index:
             log.warning("generator %s does not appear in the ambient cone", v)
-            return False
+            return None
         sub.append(index[v])
-    return find_supporting_functional(sub, c) is not None
+    return find_supporting_functional(sub, c)

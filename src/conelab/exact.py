@@ -83,9 +83,6 @@ class _BaseMatrix:
     def shape(self):
         return (self.rows, self.cols)
 
-    def row(self, i) -> tuple:
-        return self.data[i]
-
     def column(self, j) -> tuple:
         return tuple(self.data[i][j] for i in range(self.rows))
 
@@ -95,21 +92,12 @@ class _BaseMatrix:
     def transpose(self):
         return type(self)(zip(*self.data))
 
-    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]):
-        return type(self)(
-            tuple(tuple(self.data[i][j] for j in col_idx) for i in row_idx)
-        )
-
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     @classmethod
     def identity(cls, n: int):
         return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int):
-        return cls(tuple(tuple(0 for _ in range(cols)) for _ in range(rows)))
 
     def mul(self, other):
         if self.cols != other.rows:
@@ -157,16 +145,6 @@ class RatMatrix(_BaseMatrix):
     def scale(self, c) -> "RatMatrix":
         c = _to_fraction(c)
         return RatMatrix(tuple(tuple(c * x for x in row) for row in self.data))
-
-    def add(self, other: "RatMatrix") -> "RatMatrix":
-        if self.shape != other.shape:
-            raise DimensionError("shapes do not match")
-        return RatMatrix(
-            tuple(
-                tuple(a + b for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.data, other.data)
-            )
-        )
 
     def is_symmetric(self) -> bool:
         return self.is_square() and all(

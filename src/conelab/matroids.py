@@ -19,7 +19,6 @@ _EXCHANGE_CHECK_LIMIT = 12
 @dataclass(frozen=True)
 class Matroid:
     ground_size: int
-    labels: Tuple[str, ...]
     bases: frozenset  # of int bitmasks
     rank: int
 
@@ -84,15 +83,14 @@ def vector_matroid(a: IntMatrix) -> Matroid:
     row_basis = greedy_basis(a.data)
     r = len(row_basis)
     n = a.cols
-    labels = tuple(str(j) for j in range(n))
     if r == 0:
-        return Matroid(n, labels, frozenset({0}), 0)
+        return Matroid(n, frozenset({0}), 0)
     bases = set()
     for cols_idx in combinations(range(n), r):
         sub = [tuple(a.data[i][j] for j in cols_idx) for i in row_basis]
         if int_determinant(sub) != 0:
             bases.add(_mask(cols_idx))
-    return Matroid(n, labels, frozenset(bases), r)
+    return Matroid(n, frozenset(bases), r)
 
 
 def circuits(m: Matroid) -> frozenset:
@@ -108,17 +106,6 @@ def circuits(m: Matroid) -> frozenset:
             if all(m.is_independent(mask & ~(1 << e)) for e in subset):
                 out.append(frozenset(subset))
     return frozenset(out)
-
-
-def is_simple(m: Matroid) -> bool:
-    """No loops (1-circuits) and no parallel pairs (2-circuits)."""
-    for e in range(m.ground_size):
-        if not m.is_independent(1 << e):
-            return False
-    for e, f in combinations(range(m.ground_size), 2):
-        if not m.is_independent((1 << e) | (1 << f)):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -141,14 +128,6 @@ class Graph:
 
     def is_connected(self) -> bool:
         return _induced_connected(self, set(range(self.num_vertices)))
-
-    @property
-    def genus(self) -> int:
-        return len(self.edges) - self.num_vertices + 1
-
-    @property
-    def cogenus(self) -> int:
-        return self.num_vertices - 1
 
 
 def parse_graph(text: str) -> Graph:
@@ -289,23 +268,6 @@ def _induced_connected(g: Graph, verts: set) -> bool:
                 seen.add(w)
                 stack.append(w)
     return seen == verts
-
-
-# ---------------------------------------------------------------------------
-# the rank-5 ten-element fixture
-
-
-def r10_matrix() -> IntMatrix:
-    """The standard 5x10 simple TU representation of the R10 matroid."""
-    return IntMatrix(
-        [
-            [1, 0, 0, 0, 0, -1, 1, 0, 0, 1],
-            [0, 1, 0, 0, 0, 1, -1, 1, 0, 0],
-            [0, 0, 1, 0, 0, 0, 1, -1, 1, 0],
-            [0, 0, 0, 1, 0, 0, 0, 1, -1, 1],
-            [0, 0, 0, 0, 1, 1, 0, 0, 1, -1],
-        ]
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
 
 from . import fixtures
 from .cones import (
@@ -139,16 +138,10 @@ def _timed(fn):
 
 
 @_timed
-def verify_r10(a10: Optional[IntMatrix] = None,
-               functional: Optional[RatMatrix] = None,
-               seed: int = DEFAULT_SEED) -> Report:
-    """Five checks that the ten-column cone is a face of a full perfect cone.
-
-    The optional arguments override the fixture matrix and the supporting
-    functional; the tests use them to confirm the verifier can fail.
-    """
+def verify_r10(seed: int = DEFAULT_SEED) -> Report:
+    """Five checks that the ten-column cone is a face of a full perfect cone."""
     rep = Report("r10", seed)
-    a = a10 if a10 is not None else fixtures.load_int_matrix("A10.txt")
+    a = fixtures.load_int_matrix("A10.txt")
     qq = q5()
 
     tu = is_totally_unimodular(a)
@@ -173,7 +166,7 @@ def verify_r10(a10: Optional[IntMatrix] = None,
         (Fraction(2), 20, True),
         "derived: exact lattice enumeration",
     )
-    h = functional if functional is not None else h_functional_matrix()
+    h = h_functional_matrix()
     vals = tuple(
         sorted({evaluate_functional(h, v) for v in fam_list})
         for fam_list in (es, fs, gs, hs)

@@ -1,9 +1,12 @@
+import hashlib
 import json
+import re
+import sys
 from pathlib import Path
 
 import pytest
 
-from conelab import cli, quadforms
+from conelab import cli, cones, quadforms
 from conelab.cli import build_parser, run
 
 
@@ -103,6 +106,24 @@ def test_cone_member_and_face(capsys, tmp_path):
     sub_file.write_text(out)
     code, out, _ = _cap(capsys, ["cone", "face", str(sub_file), str(cone_file)])
     assert code == 0 and "face: true" in out
+
+
+def test_cone_face_solves_one_lp(capsys, monkeypatch, tmp_path):
+    # the certificate printed is the one the face decision found
+    real = cones.find_supporting_functional
+    calls = []
+
+    def counted(sub, c):
+        calls.append(sub)
+        return real(sub, c)
+
+    monkeypatch.setattr(cones, "find_supporting_functional", counted)
+    monkeypatch.setattr(cli, "find_supporting_functional", counted)
+    cone_file, sub_file = tmp_path / "cone.json", tmp_path / "sub.json"
+    cone_file.write_text('{"g": 2, "generators": [[1, 0], [0, 1], [1, -1]]}')
+    sub_file.write_text('{"g": 2, "generators": [[1, 0], [0, 1]]}')
+    code, out, _ = _cap(capsys, ["cone", "face", str(sub_file), str(cone_file)])
+    assert (code, out.splitlines()[0], len(calls)) == (0, "face: true", 1)
 
 
 def test_delone_and_dicing_commands(capsys):
@@ -248,10 +269,9 @@ OPERATION_COVERAGE = {
     "tumatrix.seymour_sum3": ["sum 3"],
     "matroids.vector_matroid": ["matroid info"],
     "matroids.circuits": ["matroid info"],
-    "matroids.is_simple": ["matroid info"],
+    "tumatrix.is_simple_matrix": ["matroid info"],
     "matroids.graphic_representation": ["graph graphic"],
     "matroids.cographic_representation": ["graph cographic"],
-    "matroids.r10_matrix": ["verify r10"],
     "matroids.matroid_isomorphic": ["matroid isomorphic"],
     "quadforms.is_positive_definite": ["qf is-pd"],
     "quadforms.rational_rank_normal_form": ["qf rank-normal"],
@@ -381,3 +401,112 @@ def test_json_output_matches_golden(capsys, monkeypatch, name):
     code, out, _ = _cap(capsys, ["--format", "json"] + GOLDEN[name])
     golden = (Path(__file__).parent / "golden" / f"{name}.txt").read_text()
     assert f"exit {code}\n{out}" == golden
+
+
+# Byte-level guard on what the JSON goldens miss: the --help of every
+# parser, and the exit code and stdout of each command in text and JSON.
+# One sha256 covers the whole transcript; `verify`'s wall time is masked.
+HELP_PATHS = [
+    [], ["mat"], ["tu"], ["matroid"], ["qf"], ["cone"],
+    ["mat", "det"], ["mat", "hnf"], ["mat", "solve"], ["mat", "ldlt"],
+    ["tu", "check"], ["tu", "witness"], ["tu", "equivalent"],
+    ["matroid", "info"], ["matroid", "isomorphic"], ["graph"], ["sum"],
+    ["qf", "minvec"], ["qf", "perfect-cone"], ["qf", "is-pd"], ["qf", "rank-normal"],
+    ["qf", "well-suited"], ["qf", "sum"], ["qf", "show"], ["qf", "h-value"],
+    ["cone", "of-matrix"], ["cone", "member"], ["cone", "face"], ["cone", "support"],
+    ["cone", "delete"], ["cone", "conjugate"], ["cone", "principal-contains"],
+    ["delone"], ["dicing"], ["dicing-check"], ["vor"], ["zonotope-check"], ["verify"],
+]
+
+INVOCATIONS = [
+    ["mat", "det", "QHEX.txt"],
+    ["mat", "hnf", "AK4.txt"],
+    ["mat", "solve", "AK3.txt", "--rhs", "1,1"],
+    ["mat", "solve", "{flat}", "--rhs", "1,2"],
+    ["mat", "ldlt", "Q0_2.txt"],
+    ["mat", "ldlt", "{flat}"],
+    ["tu", "check", "AK3.txt"],
+    ["tu", "check", "{nontu}"],
+    ["tu", "witness", "AK4.txt"],
+    ["tu", "witness", "{nontu}"],
+    ["tu", "equivalent", "AK3.txt", "AK3.txt"],
+    ["tu", "equivalent", "AK3.txt", "I2.txt"],
+    ["matroid", "info", "AK4.txt"],
+    ["matroid", "isomorphic", "AK3.txt", "AK3.txt"],
+    ["matroid", "isomorphic", "AK3.txt", "I2.txt"],
+    ["graph", "graphic", "K4.graph"],
+    ["graph", "cographic", "THETA.graph"],
+    ["sum", "1", "AK3.txt", "AK3.txt"],
+    ["sum", "2", "SUM2_LEFT_A.txt", "SUM2_RIGHT_A.txt"],
+    ["sum", "3", "SUM3_LEFT_A.txt", "SUM3_RIGHT_A.txt"],
+    ["qf", "minvec", "QHEX.txt"],
+    ["qf", "perfect-cone", "Q0_2.txt"],
+    ["qf", "is-pd", "Q5.txt"],
+    ["qf", "is-pd", "{flat}"],
+    ["qf", "rank-normal", "{flat}"],
+    ["qf", "well-suited", "Q0_2.txt", "AK3.txt"],
+    ["qf", "well-suited", "QHEX.txt", "AK3.txt"],
+    ["qf", "sum", "1", "Q0_2.txt", "AK3.txt", "Q0_2.txt", "AK3.txt"],
+    ["qf", "show", "q5"],
+    ["qf", "show", "q0", "--g", "3"],
+    ["qf", "h-value", "Q5.txt"],
+    ["qf", "h-value", "--vector", "1,-1,0,0,0"],
+    ["cone", "of-matrix", "AK3.txt"],
+    ["cone", "member", "QHEX.txt", "{cone}"],
+    ["cone", "member", "Q0_2.txt", "{cone}"],
+    ["cone", "face", "{sub}", "{cone}"],
+    ["cone", "face", "{cone}", "{sub}"],
+    ["cone", "support", "{cone}", "--zero", "0,2"],
+    ["cone", "delete", "{cone}", "--indices", "1"],
+    ["cone", "conjugate", "{h}", "{cone}"],
+    ["cone", "principal-contains", "QHEX.txt"],
+    ["cone", "principal-contains", "Q5.txt"],
+    ["delone", "QHEX.txt"],
+    ["delone", "QHEX.txt", "--against", "I2.txt", "--window", "3"],
+    ["dicing", "AK3.txt"],
+    ["dicing-check", "AK3.txt", "--samples", "2"],
+    ["vor", "I2.txt", "--radius", "2"],
+    ["zonotope-check", "AK3.txt", "--radius", "2"],
+    ["verify", "r10"],
+    ["verify", "principal", "--g", "2", "--samples", "5"],
+    ["verify", "taxonomy-g2", "--samples", "1", "--seed", "7"],
+    ["verify", "seymour", "--samples", "5"],
+    ["verify", "dicings", "--samples", "1"],
+]
+
+TRANSCRIPT_SHA256 = "ebd4763644737efa67f09e4498ccdc152bfbfca09f319a4a0825f111c2d6180f"
+
+
+def _transcript(capsys, tmp_path) -> str:
+    files = {"flat": tmp_path / "flat.txt", "nontu": tmp_path / "nontu.txt",
+             "cone": tmp_path / "cone.json", "sub": tmp_path / "sub.json",
+             "h": tmp_path / "h.txt"}
+    files["flat"].write_text("2 2\n1 1\n1 1\n")
+    files["nontu"].write_text("2 2\n1 1\n1 -1\n")
+    files["cone"].write_text('{"g": 2, "generators": [[1, 0], [0, 1], [1, -1]], '
+                             '"simplicial": true}')
+    files["sub"].write_text('{"g": 2, "generators": [[1, 0], [0, 1]], "simplicial": true}')
+    files["h"].write_text("2 2\n1 1\n0 1\n")
+    parts = []
+    for path in HELP_PATHS:
+        with pytest.raises(SystemExit) as exc:
+            run(path + ["--help"])
+        parts.append(f"$ {' '.join(path)} --help\nexit {exc.value.code}\n"
+                     + capsys.readouterr().out)
+    for argv in INVOCATIONS:
+        argv = [a.format(**files) for a in argv]
+        for fmt in ("text", "json"):
+            code, out, _ = _cap(capsys, ["--format", fmt] + argv)
+            out = re.sub(r"(\(seed \d+, )[0-9.]+s\)", r"\1<wall>s)", out)
+            parts.append(f"$ --format {fmt} {' '.join(argv[:2])}\nexit {code}\n{out}")
+    return "".join(parts)
+
+
+def test_help_and_text_transcript_is_pinned(capsys, monkeypatch, tmp_path):
+    if sys.version_info[:2] != (3, 11):
+        pytest.skip("argparse's help layout differs between Python minor versions; "
+                    "the digest was recorded with Python 3.11")
+    monkeypatch.delenv("CONELAB_SEED", raising=False)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
+    text = _transcript(capsys, tmp_path)
+    assert hashlib.sha256(text.encode()).hexdigest() == TRANSCRIPT_SHA256

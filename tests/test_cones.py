@@ -14,13 +14,15 @@ from conelab.cones import (
     is_face,
     membership,
     principal_cone_contains,
+    rank_one_coords,
     sigma_of_matrix,
+    sym_coords,
     validate_face_certificate,
 )
-from conelab.exact import IntMatrix, RatMatrix
+from conelab.exact import IntMatrix, RatMatrix, solve_exact
 from conelab.fixtures import load_int_matrix
 from conelab.lp import feasible_nonneg_combination
-from conelab.matroids import complete_graph, graphic_representation, r10_matrix
+from conelab.matroids import complete_graph, graphic_representation
 from conelab.quadforms import QuadForm, h_functional_matrix, perfect_cone_of, q0_principal, q5
 from conelab.tumatrix import TUMatrix
 from test_delone import D4
@@ -36,7 +38,7 @@ def test_sigma_of_matrix_examples():
     c = sigma_of_matrix(TUMatrix.check(IntMatrix.identity(2)))
     assert set(c.generators) == {(1, 0), (0, 1)}
 
-    c10 = sigma_of_matrix(TUMatrix.check(r10_matrix()))
+    c10 = sigma_of_matrix(TUMatrix.check(load_int_matrix("A10.txt")))
     assert len(c10.generators) == 10
     assert c10.simplicial
     assert c10.span_dimension() == 10
@@ -68,6 +70,10 @@ def test_membership_examples():
     c2 = sigma_of_matrix(TUMatrix.check(IntMatrix.identity(2)))
     assert membership(QuadForm.from_rows([[1, 1], [1, 1]]), c2) is None
 
+    empty = RayCone(2, (), True)
+    assert membership(QuadForm.from_rows([[0, 0], [0, 0]]), empty) == ()
+    assert membership(QuadForm.from_rows([[1, 0], [0, 0]]), empty) is None
+
 
 def test_membership_nonsimplicial():
     c5 = perfect_cone_of(q5())
@@ -91,6 +97,27 @@ def test_membership_nonsimplicial():
     )
     # (e1+e2)(e1+e2)^t + e5 e5^t: the first summand is not a minimal ray
     assert membership(outside, c5) is None
+
+
+def test_simplicial_membership_is_the_unique_linear_solution():
+    # a simplicial cone gives every form in its span unique coordinates, so
+    # the LP's answer must be exactly the square system's solution, and None
+    # whenever that solution has a negative entry
+    rng = random.Random(31)
+    for g in (2, 3, 4, 5):
+        c = perfect_cone_of(q0_principal(g))
+        assert c.simplicial
+        cols = [rank_one_coords(v) for v in c.generators]
+        for _ in range(10):
+            lam = [F(rng.randint(0, 6), rng.randint(1, 3)) for _ in cols]
+            if rng.random() < 0.5:  # one negative coordinate: not a member
+                lam[rng.randrange(len(lam))] = F(-rng.randint(1, 6), rng.randint(1, 3))
+            lam = tuple(lam)
+            q = RatMatrix([[sum(l * v[i] * v[j] for l, v in zip(lam, c.generators))
+                            for j in range(g)] for i in range(g)])
+            sol = solve_exact(RatMatrix(list(zip(*cols))), sym_coords(q))
+            assert sol.x == lam and not sol.kernel
+            assert membership(q, c) == (lam if min(lam) >= 0 else None)
 
 
 def test_principal_cone_inequalities():
@@ -139,7 +166,7 @@ def test_supporting_functional_small():
     assert validate_face_certificate(cert, c, [idx[(1, -1)]])
 
     full = find_supporting_functional([0, 1, 2], c)
-    assert full is not None and full.functional == RatMatrix.zeros(2, 2)
+    assert full is not None and full.functional == RatMatrix([[0, 0], [0, 0]])
 
     # the triangle cone is simplicial, so every generator subset is a face
     cert = find_supporting_functional([idx[(1, 0)], idx[(0, 1)]], c)
@@ -161,7 +188,7 @@ def test_supporting_functional_infeasible_case():
 
 def test_r10_face_certificate():
     c5 = perfect_cone_of(q5())
-    c10 = sigma_of_matrix(TUMatrix.check(r10_matrix()))
+    c10 = sigma_of_matrix(TUMatrix.check(load_int_matrix("A10.txt")))
     sub = [i for i, v in enumerate(c5.generators) if v in set(c10.generators)]
     assert len(sub) == 10
     cert = find_supporting_functional(sub, c5)
@@ -178,7 +205,7 @@ def test_r10_face_certificate():
     assert validate_face_certificate(known, c5, sub)
     # and a broken one is rejected
     zero = FaceCertificate(
-        RatMatrix.zeros(5, 5), tuple(sub),
+        RatMatrix([[0] * 5] * 5), tuple(sub),
         tuple(j for j in range(20) if j not in set(sub)),
         tuple(F(0) for _ in range(20)),
     )
@@ -213,7 +240,7 @@ PINNED_FACE_DECISIONS = "8d160dc137d28cfca7a3fb9c16b8fb3c41bf0bbe436d297c6eba280
 
 def test_is_face_examples():
     c5 = perfect_cone_of(q5())
-    c10 = sigma_of_matrix(TUMatrix.check(r10_matrix()))
+    c10 = sigma_of_matrix(TUMatrix.check(load_int_matrix("A10.txt")))
     assert is_face(c10, c5)
 
     c = sigma_of_matrix(AK3)
@@ -230,7 +257,7 @@ def test_extremality_of_generators():
     from conelab.cones import rank_one_coords
 
     for cone in (sigma_of_matrix(AK3),
-                 sigma_of_matrix(TUMatrix.check(r10_matrix())),
+                 sigma_of_matrix(TUMatrix.check(load_int_matrix("A10.txt"))),
                  perfect_cone_of(q5())):
         cols = [rank_one_coords(v) for v in cone.generators]
         for i in range(len(cols)):

@@ -126,7 +126,7 @@ def test_solve_exact_roundtrip_random():
         else:
             nonsingular += 1
             assert invert(a).mul(a) == RatMatrix.identity(n)
-        v = a.row(0)
+        v = a.data[0]
         ints, den = clear_denominators(v)
         assert ints == tuple(den * x for x in v)
         assert all(any((d * x).denominator != 1 for x in v) for d in range(1, den))
@@ -189,7 +189,8 @@ def test_ldlt_reconstructs():
     for _ in range(20):
         n = rng.randint(1, 4)
         b = RatMatrix([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
-        q = b.transpose().mul(b).add(RatMatrix.identity(n))
+        q = RatMatrix([[x + (i == j) for j, x in enumerate(row)]
+                       for i, row in enumerate(b.transpose().mul(b).data)])
         l, d = ldlt_decompose(q)
         dm = RatMatrix([[d[i] if i == j else 0 for j in range(n)] for i in range(n)])
         assert l.mul(dm).mul(l.transpose()) == q

@@ -3,7 +3,7 @@ from itertools import combinations
 import pytest
 
 from conelab.exact import IntMatrix, int_determinant
-from conelab.fixtures import load_graph
+from conelab.fixtures import load_graph, load_int_matrix
 from conelab.matroids import (
     Graph,
     bonds,
@@ -11,17 +11,15 @@ from conelab.matroids import (
     cographic_representation,
     complete_graph,
     graphic_representation,
-    is_simple,
     matroid_isomorphic,
     parse_graph,
-    r10_matrix,
     vector_matroid,
 )
-from conelab.tumatrix import is_totally_unimodular
+from conelab.tumatrix import is_simple_matrix, is_totally_unimodular
 
 
 def test_vector_matroid_examples():
-    m = vector_matroid(r10_matrix())
+    m = vector_matroid(load_int_matrix("A10.txt"))
     assert m.ground_size == 10 and m.rank == 5
 
     free = vector_matroid(IntMatrix.identity(4))
@@ -53,9 +51,12 @@ def test_circuits_examples():
 
 
 def test_is_simple():
-    assert is_simple(vector_matroid(r10_matrix()))
-    assert not is_simple(vector_matroid(IntMatrix([[1, 1], [0, 0]])))
-    assert not is_simple(vector_matroid(IntMatrix([[1, 0], [0, 0]])))
+    # a simple matroid has no loop and no parallel pair: no circuit of size <= 2
+    for a, simple in ((load_int_matrix("A10.txt"), True),
+                      (IntMatrix([[1, 1], [0, 0]]), False),
+                      (IntMatrix([[1, 0], [0, 0]]), False)):
+        assert is_simple_matrix(a) == simple
+        assert all(len(c) > 2 for c in circuits(vector_matroid(a))) == simple
 
 
 def test_graphic_representation_examples():
@@ -76,7 +77,7 @@ def test_graphic_loops_become_zero_columns():
     g = Graph(2, ((0, 1), (0, 0)))
     a = graphic_representation(g)
     assert a.column(1) == (0,)
-    assert not is_simple(vector_matroid(a))
+    assert not is_simple_matrix(a)
 
 
 def test_cographic_examples():
@@ -105,27 +106,26 @@ def test_graph_matroid_ranks():
     for name in ("K3.graph", "K4.graph", "THETA.graph"):
         g = load_graph(name)
         m = vector_matroid(graphic_representation(g))
-        assert m.rank == g.cogenus
+        assert m.rank == g.num_vertices - 1
         mc = vector_matroid(cographic_representation(g))
-        assert mc.rank == g.genus
+        assert mc.rank == len(g.edges) - g.num_vertices + 1
 
 
 def test_simplicity_criteria_on_graphs():
     # simple graph -> simple cycle matroid; 3-edge-connected -> simple bond matroid
     k4 = load_graph("K4.graph")
-    assert is_simple(vector_matroid(graphic_representation(k4)))
-    assert is_simple(vector_matroid(cographic_representation(k4)))
+    assert is_simple_matrix(graphic_representation(k4))
+    assert is_simple_matrix(cographic_representation(k4))
     theta = load_graph("THETA.graph")
-    assert not is_simple(vector_matroid(graphic_representation(theta)))
-    assert is_simple(vector_matroid(cographic_representation(theta)))
+    assert not is_simple_matrix(graphic_representation(theta))
+    assert is_simple_matrix(cographic_representation(theta))
     # a path has bridges: bond matroid gets loops-free but 1-cuts are loops
     path = Graph(3, ((0, 1), (1, 2)))
-    m = vector_matroid(cographic_representation(path))
-    assert not is_simple(m)
+    assert not is_simple_matrix(cographic_representation(path))
 
 
 def test_r10_matrix_entries():
-    a = r10_matrix()
+    a = load_int_matrix("A10.txt")
     assert a.data[0][5] == -1
     assert a.data[4][9] == -1
     assert vector_matroid(a).rank == 5
@@ -145,7 +145,7 @@ def test_basis_exchange_enforced():
         # {0,1} and {2,3} violate exchange without {0,2},{0,3},{1,2},{1,3}
         from conelab.matroids import Matroid
 
-        Matroid(4, ("a", "b", "c", "d"), frozenset({0b0011, 0b1100}), 2)
+        Matroid(4, frozenset({0b0011, 0b1100}), 2)
 
 
 def test_r10_is_not_graphic():
@@ -157,7 +157,7 @@ def test_r10_is_not_graphic():
     every case.  The spanning-tree count (162) filters almost everything
     before the full isomorphism search runs.
     """
-    m10 = vector_matroid(r10_matrix())
+    m10 = vector_matroid(load_int_matrix("A10.txt"))
     assert len(m10.bases) == 162
     k6_edges = [(i, j) for i in range(6) for j in range(i + 1, 6)]
     exercised = 0

@@ -23,7 +23,7 @@ from conelab.fixtures import load_graph, load_int_matrix
 from conelab.matroids import cographic_representation
 from conelab.quadforms import QuadForm, is_positive_definite, perfect_cone_of, q0_principal
 from conelab.tumatrix import TUMatrix
-from test_delone import D4, _mapped_cells, _rank_deficient_supports
+from test_delone import D4, _columns, _mapped_cells, _rank_deficient_supports
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
 
@@ -113,7 +113,7 @@ def rank_deficient_sums(draw):
     a = draw(st.sampled_from(DICING_SYSTEMS))
     s = draw(st.sampled_from(_rank_deficient_supports(a)))
     h = draw(unimodular(a.rows))
-    cols = h.mul(a.submatrix(range(a.rows), s)).columns()
+    cols = h.mul(_columns(a, s)).columns()
     lam = draw(st.lists(st.builds(F, st.integers(1, 9), st.integers(1, 4)),
                         min_size=len(s), max_size=len(s)))
     return cols, lam

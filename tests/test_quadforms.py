@@ -6,7 +6,7 @@ import pytest
 
 from conelab.exact import IntMatrix, RatMatrix, determinant
 from conelab.fixtures import load_int_matrix, load_matrix
-from conelab.matroids import complete_graph, graphic_representation, r10_matrix
+from conelab.matroids import complete_graph, graphic_representation
 from conelab.quadforms import (
     QuadForm,
     VerificationError,
@@ -177,7 +177,7 @@ def test_q5_rescaling_is_not_well_suited_for_the_ten_columns():
     # the minimum of Q5/2 is 1 but it is attained at all 20 family vectors,
     # not only at the 10 matrix columns, so the definition fails; the
     # perturbed fixture form QW10 is the correct well-suited companion
-    a10 = TUMatrix.check(r10_matrix())
+    a10 = TUMatrix.check(load_int_matrix("A10.txt"))
     half_q5 = q5().scale(F(1, 2))
     assert not is_well_suited(half_q5, a10)
     mv = minimal_vectors(half_q5)
@@ -186,10 +186,11 @@ def test_q5_rescaling_is_not_well_suited_for_the_ten_columns():
     qw = QuadForm(load_matrix("QW10.txt"))
     assert is_well_suited(qw, a10)
     mvw = minimal_vectors(qw)
-    cols = {_canon(c) for c in r10_matrix().columns()}
+    cols = {_canon(c) for c in load_int_matrix("A10.txt").columns()}
     assert set(mvw.vectors) == cols
     # and QW10 is exactly (Q5 - H/4) / 2
-    expect = q5().matrix.add(h_functional_matrix().scale(F(-1, 4))).scale(F(1, 2))
+    expect = RatMatrix([[(x - y / 4) / 2 for x, y in zip(r, s)]
+                        for r, s in zip(q5().matrix.data, h_functional_matrix().data)])
     assert qw.matrix == expect
 
 
@@ -234,7 +235,7 @@ def test_well_suited_sum1():
     assert is_well_suited(p.form, p.matrix)
 
     r10 = WellSuitedPair.check(
-        QuadForm(load_matrix("QW10.txt")), TUMatrix.check(r10_matrix())
+        QuadForm(load_matrix("QW10.txt")), TUMatrix.check(load_int_matrix("A10.txt"))
     )
     p = well_suited_sum1(r10, one)
     assert p.form.g == 6 and p.matrix.inner.shape == (6, 11)

@@ -4,7 +4,7 @@ import pytest
 
 from conelab.exact import IntMatrix, determinant
 from conelab.fixtures import load_int_matrix
-from conelab.matroids import complete_graph, graphic_representation, r10_matrix
+from conelab.matroids import complete_graph, graphic_representation
 from conelab.tumatrix import (
     BlockShapeError,
     SumShape2,
@@ -24,7 +24,7 @@ AK3 = graphic_representation(complete_graph(3))
 
 
 def test_tu_examples():
-    assert is_totally_unimodular(r10_matrix())
+    assert is_totally_unimodular(load_int_matrix("A10.txt"))
     assert is_totally_unimodular(IntMatrix.identity(4))
     assert not is_totally_unimodular(IntMatrix([[1, 1], [1, -1]]))
     assert not is_totally_unimodular(IntMatrix([[2]]))
@@ -123,7 +123,7 @@ def test_sum1_examples():
     assert out.inner.shape == (4, 6)
     assert is_totally_unimodular(out.inner) and is_simple_matrix(out.inner)
 
-    out = seymour_sum1(TUMatrix.check(r10_matrix()), one)
+    out = seymour_sum1(TUMatrix.check(load_int_matrix("A10.txt")), one)
     assert out.inner.shape == (6, 11)
     assert is_totally_unimodular(out.inner) and is_simple_matrix(out.inner)
 
@@ -198,7 +198,7 @@ def test_sum_tu_iff_blocks_tu():
     assembled = _assemble(IntMatrix(bad), r1, 1)
     assert not is_totally_unimodular(assembled)
 
-    a10 = r10_matrix()
+    a10 = load_int_matrix("A10.txt")
     bad10 = [list(row) for row in a10.data]
     bad10[0][5] = 1  # sign flip creates a submatrix with |det| = 2
     assert not is_totally_unimodular(IntMatrix(bad10))

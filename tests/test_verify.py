@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from conelab import verify
 from conelab.exact import IntMatrix, RatMatrix
 from conelab.fixtures import load_int_matrix
 from conelab.verify import (
@@ -20,16 +21,20 @@ def test_r10_passes_with_five_rows():
     assert all(row.ok for row in rep.evidence)
 
 
-def test_r10_fault_injection_tu_row():
+def test_r10_fault_injection_tu_row(monkeypatch):
     bad = [list(row) for row in load_int_matrix("A10.txt").data]
     bad[0][5] = -bad[0][5]  # one sign flip creates a |det| = 2 submatrix
-    rep = verify_r10(a10=IntMatrix(bad))
+    real = load_int_matrix
+    monkeypatch.setattr(verify.fixtures, "load_int_matrix",
+                        lambda name: IntMatrix(bad) if name == "A10.txt" else real(name))
+    rep = verify_r10()
     assert rep.status == "fail"
     assert not rep.evidence[0].ok  # fails at the total unimodularity row
 
 
-def test_r10_fault_injection_zero_functional():
-    rep = verify_r10(functional=RatMatrix.zeros(5, 5))
+def test_r10_fault_injection_zero_functional(monkeypatch):
+    monkeypatch.setattr(verify, "h_functional_matrix", lambda: RatMatrix([[0] * 5] * 5))
+    rep = verify_r10()
     assert rep.status == "fail"
     # the functional-values row and the strict-negativity side of the face
     # row both break
