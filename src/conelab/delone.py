@@ -18,7 +18,12 @@ Hermite normal form), subdivide that, and pull its classes back to the
 window, keeping the clipped cells that meet the central unit cube.  The
 walk runs on an integer multiple of a definite form, so its heights,
 crossings, cofactor facet normals and certificates are integer; every
-other predicate is rational.  All decisions are exact.
+other predicate is rational.  All decisions are exact.  The walk holds its
+window columnar, built once per walk: the points in product order and
+their heights as one aligned int list.  A crossing evaluates its two
+linear functionals on the whole window as int lists (outer sums over the
+grid's axis) and scans the zipped lists once, calling no function per
+point.
 """
 
 from __future__ import annotations
@@ -121,7 +126,31 @@ def _window_points(g: int, r: int):
     return [tuple(p) for p in product(range(-r, r + 2), repeat=g)]
 
 
-def _locate_cell(points, heights):
+def _grid_values(coeffs, axis, start=0):
+    """coeffs.p + start at every point p of the grid axis^g, in the order of
+    _window_points: an outer sum of the per-axis values, one addition per
+    point."""
+    out = [start]
+    for a in coeffs:
+        terms = [a * x for x in axis]
+        out = [o + t for o in out for t in terms]
+    return out
+
+
+def _grid_heights(qi, axis):
+    """Q(p) at every point p of the grid axis^g, in the order of
+    _window_points.  Peels off one axis at a time: with p = (x, y),
+    Q(p) = q00 x^2 + x (2 q0.y) + Q'(y), where q0 is the rest of the first
+    row and Q' the form on the remaining axes."""
+    heights = [0]
+    for i in reversed(range(len(qi))):
+        qii = qi[i][i]
+        cross = _grid_values([2 * q for q in qi[i][i + 1:]], axis)
+        heights = [(qii * x + l) * x + h for x in axis for l, h in zip(cross, heights)]
+    return heights
+
+
+def _locate_cell(window):
     """A lower-hull facet through the origin: its supporting affine map.
 
     Starts from h = 0, which touches the lifted lattice only at the origin
@@ -132,15 +161,15 @@ def _locate_cell(points, heights):
     be integers; the affine map is in the integer representation
     (avec, c, den) standing for (avec.x + c)/den.
     """
-    g = len(points[0])
-    origin = (0,) * g
+    origin = (0,) * len(window[0][0])  # window[0] holds the points
     aff, tight = (origin, 0, 1), frozenset({origin})
     while True:
         rows = RatMatrix([[Fraction(x) for x in p] for p in tight])
         kernel = solve_exact(rows, [Fraction(0)] * len(tight)).kernel
         if not kernel:
             return aff, tight
-        aff, tight = _cross_facet(points, heights, aff, primitive(kernel[0])[0])
+        # the functional vanishes on the whole tight set
+        aff, tight = _cross_facet(window, aff, tight, primitive(kernel[0])[0])
 
 
 def _facets_of_cell(vertices):
@@ -230,10 +259,12 @@ def delone_subdivision(q: QuadForm, window_radius: Optional[int] = None) -> Peri
     from a cell containing 0 and crosses only facets through 0, and every
     visited cell is certified by the window.  Definite forms are scaled to
     integers, so the walk (heights, crossings, facet normals and window
-    certificates) runs in integer arithmetic.  Positive semi-definite forms
-    are handled through the rank normal form (cells become lattice-point
-    sets of unbounded polyhedra clipped to the window); indefinite forms
-    are rejected.
+    certificates) runs in integer arithmetic.  The window is built once per
+    walk as (points, axis, heights): the points of axis^g in product order
+    and their heights, an int list aligned with them.  Positive
+    semi-definite forms are handled through the rank normal form (cells
+    become lattice-point sets of unbounded polyhedra clipped to the
+    window); indefinite forms are rejected.
     """
     g = q.g
     r = window_radius_for(g, window_radius)
@@ -246,9 +277,9 @@ def delone_subdivision(q: QuadForm, window_radius: Optional[int] = None) -> Peri
     qi = [[int(x) for x in row] for row in q.scale(den).matrix.data]
     det = int_determinant(qi)
     adj = [[int(x * det) for x in row] for row in invert(IntMatrix(qi)).data]
-    points = _window_points(g, r)
-    heights = {p: _dot(p, [_dot(row, p) for row in qi]) for p in points}
-    aff0, tight0 = _locate_cell(points, heights)
+    axis = range(-r, r + 2)
+    window = (_window_points(g, r), axis, _grid_heights(qi, axis))
+    aff0, tight0 = _locate_cell(window)
 
     keep = set()
     queue = [(aff0, tight0)]
@@ -267,45 +298,46 @@ def delone_subdivision(q: QuadForm, window_radius: Optional[int] = None) -> Peri
             if facet in crossed:
                 continue
             crossed.add(facet)
-            naff, ntight = _cross_facet(points, heights, aff, normal)
+            naff, ntight = _cross_facet(window, aff, facet, normal)
             if ntight not in seen_tight:
                 seen_tight.add(ntight)
                 queue.append((naff, ntight))
     return PeriodicSubdivision(g, r, frozenset(keep))
 
 
-def _cross_facet(points, heights, aff, normal):
+def _cross_facet(window, aff, facet, normal):
     """Rotate h about ell(x) = normal.x, which vanishes on a facet through 0.
 
     One integer pass over the window finds the adjacent cell.  With
     h = (a.x + c)/den and gap = den*Q(p) - a.p - c >= 0, the pivot t is the
     least gap/(den*ell(p)) over ell > 0, compared by cross-multiplication
-    (some unit vector has ell > 0).  The current tight points have ell <= 0,
-    so that gap is positive, and the new tight set is the facet (tight
-    points with ell = 0) plus the points that tie for t.
+    (some unit vector has ell > 0).  ell and a.p + c are evaluated on the
+    whole window as int lists aligned with its points and heights, and the
+    scan zips the four lists, so no function is called per point.  The
+    tight set is every window point with gap 0, and its points have
+    ell <= 0, so those with ell > 0 have a positive gap.  Rotating raises
+    the gap where ell < 0 and keeps it where ell = 0, so the new tight set
+    is `facet` (the tight points with ell = 0) plus the points that tie
+    for t.
     """
+    points, axis, heights = window
     avec, c, den = aff
-    best_num = best_ell = None
-    tight = []
+    best_num, best_ell = 1, 0  # t = +infinity until a point has ell > 0
     ties = []
-    for p in points:
-        ell = _dot(normal, p)
-        if ell < 0:
-            continue
-        gap = heights[p] * den - _dot(avec, p) - c
-        if ell == 0:
-            if gap == 0:
-                tight.append(p)
-        elif best_num is None or gap * best_ell < best_num * ell:
-            best_num, best_ell, ties = gap, ell, [p]
-        elif gap * best_ell == best_num * ell:
-            ties.append(p)
+    for p, h, lin, ell in zip(points, heights, _grid_values(avec, axis, c),
+                              _grid_values(normal, axis)):
+        if ell > 0:
+            gap = den * h - lin
+            if gap * best_ell < best_num * ell:
+                best_num, best_ell, ties = gap, ell, [p]
+            elif gap * best_ell == best_num * ell:
+                ties.append(p)
     # h' = h + t * ell with t = best_num / (den * best_ell), in lowest terms
     new_avec = [a * best_ell + best_num * n for a, n in zip(avec, normal)]
     new_c, new_den = c * best_ell, den * best_ell
     div = gcd(*new_avec, new_c, new_den)
     naff = (tuple(a // div for a in new_avec), new_c // div, new_den // div)
-    return naff, frozenset(tight + ties)
+    return naff, facet.union(ties)
 
 
 def _degenerate_delone(q: QuadForm, r: int) -> PeriodicSubdivision:

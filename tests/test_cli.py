@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import re
 import sys
@@ -257,10 +258,10 @@ def test_internal_runtime_error_exits_3(capsys, monkeypatch):
 
 # every library operation and the subcommands that reach it
 OPERATION_COVERAGE = {
-    "exactcore.determinant": ["mat det"],
-    "exactcore.hermite_normal_form": ["mat hnf"],
-    "exactcore.solve_exact": ["mat solve"],
-    "exactcore.ldlt_decompose": ["mat ldlt"],
+    "exact.determinant": ["mat det"],
+    "exact.hermite_normal_form": ["mat hnf"],
+    "exact.solve_exact": ["mat solve"],
+    "exact.ldlt_decompose": ["mat ldlt"],
     "tumatrix.is_totally_unimodular": ["tu check"],
     "tumatrix.is_unimodular": ["tu witness"],
     "tumatrix.equivalent_unimodular": ["tu equivalent"],
@@ -307,8 +308,8 @@ OPERATION_COVERAGE = {
 
 
 def test_every_operation_is_reachable():
-    """Every library operation maps to at least one subcommand, and the
-    named subcommands all exist."""
+    """Every library operation exists in conelab and maps to at least one
+    subcommand, and the named subcommands all exist."""
     parser = build_parser()
     top = {}
     for action in parser._subparsers._group_actions:
@@ -341,6 +342,9 @@ def test_every_operation_is_reachable():
         return parts[1] in subnames
 
     for op, cmds in OPERATION_COVERAGE.items():
+        module, name = op.rsplit(".", 1)
+        assert callable(getattr(importlib.import_module(f"conelab.{module}"), name, None)), \
+            f"operation {op} is not a function of conelab"
         assert cmds, f"operation {op} has no subcommand"
         for cmd in cmds:
             assert command_exists(cmd), f"{cmd} (for {op}) does not exist"

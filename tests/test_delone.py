@@ -414,6 +414,28 @@ def test_delone_subdivisions_are_pinned():
 PINNED_DELONE = "8639cc8cf90d57e8d8412cbb8d6ec6e04d209a2c789456a48927a9a9866fefa3"
 
 
+def test_g4_walks_are_pinned():
+    """The star walks of A4 (q0_principal(4)) and D4 at radius 2 and 3, or
+    "WindowError" where the window cannot certify them (D4 at radius 2),
+    and the sorted vertices of both Voronoi cells, pinned by one digest."""
+    lines = []
+    for q in (q0_principal(4), D4):
+        for r in (2, 3):
+            try:
+                lines.append(json.dumps(delone_subdivision(q, r).to_json_dict(), sort_keys=True))
+            except WindowError:
+                lines.append("WindowError")
+        vertices = voronoi_polytope(q).vertices
+        lines.append(json.dumps([[str(x) for x in v] for v in sorted(vertices)]))
+    assert lines[3] == "WindowError" and lines.count("WindowError") == 1
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == PINNED_G4, digest
+
+
+# recorded with the walk that calls _dot twice per window point per crossing
+PINNED_G4 = "c54c76bae8cdd4553e96c25adaaf6fa39342df49d07e31aafc938572982f8cd2"
+
+
 def _columns(m, s) -> IntMatrix:
     """The columns of m indexed by s."""
     return IntMatrix([[row[j] for j in s] for row in m.data])
@@ -501,8 +523,8 @@ PINNED_RANK_DEFICIENT = "a977b7f3607c7c4ba4b1bb68f205107a137df474fa21d3fefa94718
 def _reference_tight_set(points, heights, aff):
     avec, c, den = aff
     return frozenset(
-        p for p in points
-        if heights[p] * den == sum(a * x for a, x in zip(avec, p)) + c
+        p for p, h in zip(points, heights)
+        if h * den == sum(a * x for a, x in zip(avec, p)) + c
     )
 
 
@@ -562,16 +584,26 @@ def _adjugate(q):
 def test_star_walk_kernels_match_their_references(monkeypatch):
     """Along seeded walks (g = 2..4, some skew enough to fail the window),
     every crossing, facet list and window certificate equals its Fraction
-    reference, and every crossed h stays below Q on the window."""
+    reference, and every crossed h stays below Q on the window.  The
+    window's heights are a positive multiple of Q at every window point."""
     counts = {"cross": 0, "facets": 0, "ellipsoid": 0}
     cross, facets, inside = (delone._cross_facet, delone._facets_of_cell,
                              delone._ellipsoid_inside_window)
+    walked = {}  # the form being walked, and the windows already checked
+    checked_windows = []
 
-    def checked_cross(points, heights, aff, normal):
-        naff, tight = cross(points, heights, aff, normal)
+    def checked_cross(window, aff, facet, normal):
+        naff, tight = cross(window, aff, facet, normal)
+        points, _, heights = window
+        if not any(w is window for w in checked_windows):
+            q = walked["q"]
+            assert len(points) == len(heights) == len(set(points))
+            scale = F(heights[-1]) / q(points[-1])
+            assert scale > 0 and all(h == scale * q(p) for p, h in zip(points, heights))
+            checked_windows.append(window)
         assert tight == _reference_tight_set(points, heights, naff)
         avec, c, den = naff
-        assert all(heights[p] * den >= delone._dot(avec, p) + c for p in points)
+        assert all(h * den >= delone._dot(avec, p) + c for p, h in zip(points, heights))
         counts["cross"] += 1
         return naff, tight
 
@@ -601,11 +633,13 @@ def test_star_walk_kernels_match_their_references(monkeypatch):
     forms += [_random_voronoi_form(rng, 4), q0_principal(4)]
     failed = 0
     for q in forms:
+        walked["q"] = q
         try:
             delone_subdivision(q, 2)
         except WindowError:
             failed += 1
     assert 0 < failed < len(forms)
+    assert len(checked_windows) == len(forms)
     assert min(counts.values()) > 50, counts
 
 
