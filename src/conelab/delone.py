@@ -9,9 +9,14 @@ Every Delone star cell carries an exact certificate that the window was
 large enough: the cell's circumscribed ellipsoid (the region below its
 supporting hyperplane after lifting) fits strictly inside the window, so
 no lattice point outside the window could change it.  The Voronoi cell is
-the dual of the certified star: its vertices are the circumcentres of the
-star cells and its facets come from the Delone edges at the origin.  The
-chambers of a full-rank dicing are read off exactly and need no window.
+the dual of the certified star, read off the walk's integer maps: its
+vertices are the circumcentres of the star cells, with no linear system
+solved, and its facets come from the Delone edges at the origin; one
+lattice enumeration checks every vertex.  A zonotope's vertices are found
+among the sign vectors of its facets, whose normals are cofactor vectors
+of its segments, with no LP; the one LP left here decides whether a
+clipped semi-definite cell meets the unit cube.  The chambers of a
+full-rank dicing are read off exactly and need no window.
 A semi-definite form and a rank-deficient dicing share one path: reduce to
 a definite block (the rank normal form) or a full-rank column system (the
 Hermite normal form), subdivide that, and pull its classes back to the
@@ -209,6 +214,14 @@ def _cofactor_normal(rows, g: int) -> tuple:
     if g == 3:
         (a1, a2, a3), (b1, b2, b3) = rows
         return (a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)
+    if g == 4:
+        # expand each 3x3 minor along the first row, sharing the 2x2 minors
+        # m_jk of the other two rows
+        (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = rows
+        m01, m02, m03 = b0 * c1 - b1 * c0, b0 * c2 - b2 * c0, b0 * c3 - b3 * c0
+        m12, m13, m23 = b1 * c2 - b2 * c1, b1 * c3 - b3 * c1, b2 * c3 - b3 * c2
+        return (a1 * m23 - a2 * m13 + a3 * m12, -a0 * m23 + a2 * m03 - a3 * m02,
+                a0 * m13 - a1 * m03 + a3 * m01, -a0 * m12 + a1 * m02 - a2 * m01)
     return tuple((-1) ** i * int_determinant([r[:i] + r[i + 1:] for r in rows])
                  for i in range(g))
 
@@ -255,13 +268,8 @@ def delone_subdivision(q: QuadForm, window_radius: Optional[int] = None) -> Peri
     """Translation classes of the Delone cells meeting the central unit cube.
 
     Lattice points are lifted by their Q-value; the cells are the projected
-    lower-hull facets.  The walk covers the star of the origin: it starts
-    from a cell containing 0 and crosses only facets through 0, and every
-    visited cell is certified by the window.  Definite forms are scaled to
-    integers, so the walk (heights, crossings, facet normals and window
-    certificates) runs in integer arithmetic.  The window is built once per
-    walk as (points, axis, heights): the points of axis^g in product order
-    and their heights, an int list aligned with them.  Positive
+    lower-hull facets.  A definite form's classes are the normalized cells
+    of the certified star of the origin (see _star_walk).  Positive
     semi-definite forms are handled through the rank normal form (cells
     become lattice-point sets of unbounded polyhedra clipped to the
     window); indefinite forms are rejected.
@@ -270,18 +278,39 @@ def delone_subdivision(q: QuadForm, window_radius: Optional[int] = None) -> Peri
     r = window_radius_for(g, window_radius)
     if not is_positive_definite(q):
         return _degenerate_delone(q, r)
+    star = _star_walk(_integer_form(q), r)
+    return PeriodicSubdivision(g, r, frozenset(normalize_cell(verts) for _, verts in star))
 
-    # the subdivision only depends on Q up to positive scaling, so clear
-    # denominators once and run the whole hull walk in integer arithmetic
+
+def _integer_form(q: QuadForm):
+    """(qi, adj, det) for a definite form: the least positive integer
+    multiple qi of its matrix, the adjugate of qi and det(qi) > 0.  The
+    Delone subdivision and the Voronoi cell's vertices only depend on Q up
+    to positive scaling, so both are computed from qi in integers."""
     _, den = clear_denominators([x for row in q.matrix.data for x in row])
     qi = [[int(x) for x in row] for row in q.scale(den).matrix.data]
     det = int_determinant(qi)
     adj = [[int(x * det) for x in row] for row in invert(IntMatrix(qi)).data]
-    axis = range(-r, r + 2)
-    window = (_window_points(g, r), axis, _grid_heights(qi, axis))
-    aff0, tight0 = _locate_cell(window)
+    return qi, adj, det
 
-    keep = set()
+
+def _star_walk(form, r: int) -> list:
+    """The star of the origin: every Delone cell containing 0, as
+    (aff, vertices) pairs, the vertices sorted and aff = (avec, c, den) the
+    integer map of the cell's supporting hyperplane (see _locate_cell).
+
+    The walk starts from a cell containing 0 and crosses only facets
+    through 0; every visited cell is certified by the window of radius r,
+    or WindowError is raised.  Heights, crossings, facet normals and
+    certificates are integer, computed from form = _integer_form(q).  The
+    window is built once as (points, axis, heights): the points of axis^g
+    in product order and their heights, an int list aligned with them.
+    """
+    qi, adj, det = form
+    axis = range(-r, r + 2)
+    window = (_window_points(len(qi), r), axis, _grid_heights(qi, axis))
+    aff0, tight0 = _locate_cell(window)
+    star = []
     queue = [(aff0, tight0)]
     seen_tight = {tight0}
     crossed = set()  # vertex sets of the facets already crossed
@@ -293,7 +322,7 @@ def delone_subdivision(q: QuadForm, window_radius: Optional[int] = None) -> Peri
                 f"a cell near the origin is not certified by the window of "
                 f"radius {r}; raise the window radius"
             )
-        keep.add(normalize_cell(verts))
+        star.append((aff, verts))
         for normal, facet in _facets_of_cell(verts):
             if facet in crossed:
                 continue
@@ -302,7 +331,7 @@ def delone_subdivision(q: QuadForm, window_radius: Optional[int] = None) -> Peri
             if ntight not in seen_tight:
                 seen_tight.add(ntight)
                 queue.append((naff, ntight))
-    return PeriodicSubdivision(g, r, frozenset(keep))
+    return star
 
 
 def _cross_facet(window, aff, facet, normal):
@@ -477,14 +506,19 @@ def delone_with_window_growth(q: QuadForm, window_radius: Optional[int] = None):
     window for the circumscribed-ellipsoid certificates; the subdivision
     classes themselves do not depend on the radius once certified.
     """
-    r = window_radius_for(q.g, window_radius)
-    for extra in range(WINDOW_GROWTH + 1):
+    return _grow_window(lambda r: delone_subdivision(q, r), window_radius_for(q.g, window_radius))
+
+
+def _grow_window(walk, r: int):
+    """(walk(radius), radius) for the least radius from r to
+    r + WINDOW_GROWTH whose walk raises no WindowError; the last one's
+    WindowError stands."""
+    for radius in range(r, r + WINDOW_GROWTH):
         try:
-            return delone_subdivision(q, r + extra), r + extra
+            return walk(radius), radius
         except WindowError:
-            if extra == WINDOW_GROWTH:
-                raise
-    raise AssertionError("unreachable")
+            pass
+    return walk(r + WINDOW_GROWTH), r + WINDOW_GROWTH
 
 
 def secondary_cone_check(a: TUMatrix, samples: int, rng) -> bool:
@@ -530,42 +564,66 @@ class VPolytope:
 def voronoi_polytope(q: QuadForm, radius: int = 3) -> VPolytope:
     """Points at least as Q-close to the origin as to any other lattice point.
 
-    The cell is the dual of the certified Delone star of the origin.  Each
-    star cell's Q-circumcentre c (2 p^t Q c = Q(p) for its vertices p != 0)
-    is a vertex, and a star vertex v gives the facet pair +-2 v^t Q x <= Q(v)
-    when the vertices on that hyperplane span it, i.e. when [0, v] is a
-    Delone edge.  `radius` is the starting window of the star walk (at
-    least 2); it grows until the star certifies.  Every vertex is then
-    checked on its own: no lattice point is Q-closer to it than the origin.
+    The cell is the dual of the certified Delone star of the origin, read
+    off the star walk's integer maps.  A star cell contains 0, so its map
+    is h(x) = a.x/den for the integer multiple qi of Q (see _integer_form),
+    and its Q-circumcentre (2 p^t Q c = Q(p) for its vertices p) is the
+    vertex adj.a / (2 det den).  A star vertex v gives the facet pair of
+    its bisector 2 v^t Q x = Q(v), normal +-primitive(qi v), when the
+    vertices on it (an integer cross-multiplication) span it, i.e. when
+    [0, v] is a Delone edge.  `radius` is the starting window of the star
+    walk (at least 2); it grows until the star certifies.  Every vertex is
+    then checked on its own coordinates (see _check_voronoi_vertices).
     """
     g = q.g
     if not is_positive_definite(q):
         return _degenerate_voronoi(q, radius)
-    sub, _ = delone_with_window_growth(q, max(radius, 2))
-    star = cells_incident_to_origin(sub)
-    verts = set()
-    for cell in star:
-        nonzero = [p for p in cell if any(p)]
-        rows = [[2 * x for x in q.matrix.mul_vector([Fraction(y) for y in p])]
-                for p in nonzero]
-        verts.add(tuple(solve_exact(RatMatrix(rows), [q(p) for p in nonzero]).x))
+    form = _integer_form(q)
+    qi, adj, det = form
+    star, _ = _grow_window(lambda r: _star_walk(form, r), max(radius, 2))
+    centres = {}  # vertex -> (w, s), the vertex being w/s
+    for (avec, _, den), _ in star:
+        w, s = [_dot(row, avec) for row in adj], 2 * det * den
+        centres[tuple(Fraction(x, s) for x in w)] = (w, s)
     halfspaces = []
-    for v in {canonical_sign(p) for cell in star for p in cell if any(p)}:
-        qv = q.matrix.mul_vector([Fraction(x) for x in v])
-        normal, s = primitive([2 * x for x in qv])
-        beta = q(v) * s
-        on = [c for c in verts if _dot(normal, c) == beta]
+    for v in {canonical_sign(p) for _, verts in star for p in verts if any(p)}:
+        m = [_dot(row, v) for row in qi]
+        qv, k = _dot(v, m), gcd(*m)
+        # the bisector 2 m.x = qv holds the vertex w/s iff 2 m.w = qv s
+        on = [c for c, (w, s) in centres.items() if 2 * _dot(m, w) == qv * s]
         if _affine_rank(on) == g - 1:
+            normal, beta = tuple(x // k for x in m), Fraction(qv, 2 * k)
             halfspaces.append((normal, beta))
             halfspaces.append((tuple(-x for x in normal), beta))
-    for x in verts:
-        dist = q(x)
-        if any(val < dist for _, val in enumerate_in_ellipsoid(q.matrix, dist, x)):
+    _check_voronoi_vertices(qi, centres)
+    return VPolytope(g, tuple(sorted(halfspaces)), tuple(sorted(centres)))
+
+
+def _check_voronoi_vertices(qi, vertices) -> None:
+    """Raise VerificationError if a lattice point z is Q-closer than the
+    origin to some vertex x, i.e. Q(z) < 2 z^t Q x, for Q a positive
+    multiple of the integer form qi.
+
+    Such a z has sqrt Q(z) <= sqrt Q(z - x) + sqrt Q(x) < 2 sqrt Q(x), so
+    one enumeration of Q(z) <= 4 max Q(x) holds every candidate for every
+    vertex.  Q x is computed from the vertex's own coordinates: with
+    x = xi/e for integers xi, qi x = y/e for y = qi xi, and the test
+    e qi(z) < 2 z.y is on integers.
+    """
+    scaled = []  # (x, y, e) with qi x = y/e
+    bound = 0
+    for x in vertices:
+        xi, e = clear_denominators(x)
+        y = [_dot(row, xi) for row in qi]
+        scaled.append((x, y, e))
+        bound = max(bound, Fraction(4 * _dot(xi, y), e * e))
+    points = [(z, int(val)) for z, val in enumerate_in_ellipsoid(RatMatrix(qi), bound)]
+    for x, y, e in scaled:
+        if any(e * val < 2 * _dot(z, y) for z, val in points):
             raise VerificationError(
                 f"Voronoi vertex {[str(t) for t in x]} is Q-closer to another "
                 f"lattice point than to the origin"
             )
-    return VPolytope(g, tuple(sorted(halfspaces)), tuple(sorted(verts)))
 
 
 def _degenerate_voronoi(q: QuadForm, radius: int) -> VPolytope:
@@ -594,29 +652,49 @@ def _degenerate_voronoi(q: QuadForm, radius: int) -> VPolytope:
 # zonotopes
 
 
-def _extreme_points(points):
-    """Filter a finite set down to the vertices of its convex hull (exact LPs)."""
-    pts = sorted(set(points))
-    out = []
-    for i, p in enumerate(pts):
-        # p is a vertex unless it is a convex combination of the others
-        others = [(*o, 1) for j, o in enumerate(pts) if j != i]
-        if not others or feasible_nonneg_combination(others, (*p, 1)) is None:
-            out.append(p)
-    return out
-
-
 def minkowski_sum_vertices(segments, g):
-    """Vertices of the Minkowski sum of centered segments [-u/2, +u/2]."""
-    pts = [tuple(Fraction(0) for _ in range(g))]
-    for u in segments:
-        half = [Fraction(x) / 2 for x in u]
-        new = []
-        for p in pts:
-            new.append(tuple(a + b for a, b in zip(p, half)))
-            new.append(tuple(a - b for a, b in zip(p, half)))
-        pts = _extreme_points(new)
-    return sorted(pts)
+    """Vertices of the zonotope Z = sum_i [-u_i/2, +u_i/2], sorted, without LPs.
+
+    Zero segments are dropped, and Z is computed in the coordinates of a
+    maximal independent set of rows of the matrix of the segments, on which
+    their span (of dimension d) projects injectively.  The facet normals of
+    Z are +-n for the cofactor normals n of the (d-1)-subsets of segments.
+    A point p = sum_i eps_i u_i/2 lies on the facet of n (n.p is the
+    maximum sum_i |n.u_i|/2) iff eps_i is the sign of n.u_i wherever that
+    is nonzero.  Every vertex lies on a facet, so the candidates are, for
+    each n, those signs with every sign on the segments orthogonal to n;
+    a candidate is a vertex iff the normals of the facets it lies on have
+    rank d.
+    """
+    segs = [u for u in (tuple(Fraction(x) for x in u) for u in segments) if any(u)]
+    if not segs:
+        return [(Fraction(0),) * g]
+    ints, den = clear_denominators([x for u in segs for x in u])
+    full = [ints[i:i + g] for i in range(0, len(ints), g)]  # den * u_i
+    coords = greedy_basis(list(zip(*full)))
+    d = len(coords)
+    vecs = [tuple(u[i] for i in coords) for u in full]
+    facets = {}  # facet normal n -> the set of (i, sign of n.u_i) with n.u_i != 0
+    for sub in combinations(vecs, d - 1):
+        n = _cofactor_normal(sub, d)
+        k = gcd(*n)
+        if k:
+            dots = [_dot(n, u) for u in vecs]
+            for sg in (1, -1):
+                facets[tuple(sg * x // k for x in n)] = frozenset(
+                    (i, sg if t > 0 else -sg) for i, t in enumerate(dots) if t)
+    seen, out = set(), set()
+    for fixed in facets.values():
+        free = sorted(set(range(len(vecs))) - {i for i, _ in fixed})
+        for signs in product((1, -1), repeat=len(free)):
+            eps = fixed.union(zip(free, signs))
+            if eps in seen:
+                continue
+            seen.add(eps)
+            if rank(IntMatrix([n for n, on in facets.items() if on <= eps])) == d:
+                eps = [e for _, e in sorted(eps)]
+                out.add(tuple(Fraction(_dot(eps, col), 2 * den) for col in zip(*full)))
+    return sorted(out)
 
 
 def minkowski_sum_check(a: TUMatrix, radius: int = 3) -> bool:
@@ -624,8 +702,11 @@ def minkowski_sum_check(a: TUMatrix, radius: int = 3) -> bool:
 
     The segment attached to a column v of A inside the form Q = sum v_i v_i^t
     is [-Q^-1 v / 2, +Q^-1 v / 2]: these are the only segment directions
-    compatible with the zonotope's edge classes.  Exact vertex comparison.
-    A has to have full row rank, so that the summed form is definite.
+    compatible with the zonotope's edge classes.  Exact vertex comparison
+    of two independent computations, neither of which solves an LP: the
+    Voronoi cell from the Delone star walk, the zonotope from the facet
+    normals of its segments.  A has to have full row rank, so that the
+    summed form is definite.
     """
     m = a.inner
     g = m.rows

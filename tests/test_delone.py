@@ -20,10 +20,11 @@ from conelab.delone import (
     subdivisions_equal,
     voronoi_polytope,
 )
-from conelab.exact import IntMatrix, RatMatrix, invert, primitive, rank, solve_exact
+from conelab.exact import IntMatrix, RatMatrix, int_determinant, invert, primitive, rank, solve_exact
 from conelab.fixtures import load_graph, load_int_matrix, load_matrix
+from conelab.lp import feasible_nonneg_combination
 from conelab.matroids import cographic_representation, complete_graph, graphic_representation
-from conelab.quadforms import QuadForm, is_positive_definite, q0_principal
+from conelab.quadforms import QuadForm, VerificationError, is_positive_definite, q0_principal
 from conelab.tumatrix import TUMatrix
 
 HEX = QuadForm(load_matrix("QHEX.txt"))
@@ -644,6 +645,8 @@ def test_star_walk_kernels_match_their_references(monkeypatch):
 
 
 def test_cofactor_normals_match_solved_normals():
+    """The closed forms are the signed maximal minors (Bareiss
+    determinants), and each is the solved normal up to scale."""
     rng = random.Random(73)
     for g in (1, 2, 3, 4):
         dependent = 0
@@ -652,6 +655,9 @@ def test_cofactor_normals_match_solved_normals():
             if g > 2 and rng.random() < 0.2:  # a repeated combination
                 rows[-1] = tuple(x - 2 * y for x, y in zip(rows[0], rows[1 % (g - 1)]))
             normal = delone._cofactor_normal(rows, g)
+            if g > 1:
+                assert normal == tuple((-1) ** i * int_determinant([r[:i] + r[i + 1:] for r in rows])
+                                       for i in range(g))
             expected = _reference_hyperplane_normal([(0,) * g] + rows)
             assert all(delone._dot(normal, v) == 0 for v in rows)
             if expected is None:
@@ -689,6 +695,56 @@ def test_integer_ellipsoid_test_matches_fractions_on_ties():
                     or (wi + r * s) ** 2 == rho * adj[i][i] for i, wi in enumerate(w))
     assert ties > 10, ties
 
+
+def test_voronoi_vertex_check_has_teeth():
+    """The one-enumeration vertex check rejects a point that is not a
+    circumcentre: a Voronoi vertex moved by 1/7 of a facet normal out of
+    the cell.  It also finds a Q-closer lattice point near the edge of its
+    enumeration bound 4 max Q(x): for x = (51/100, 0) and Q = I2 the only
+    one is z = (1, 0), with Q(z) = 1 against 4 Q(x) = 1.0404, beyond
+    3 Q(x)."""
+    for q in (HEX, q0_principal(3), D4):
+        qi = delone._integer_form(q)[0]
+        vor = voronoi_polytope(q)
+        delone._check_voronoi_vertices(qi, vor.vertices)
+        for normal, beta in vor.halfspaces[:3]:
+            x = next(v for v in vor.vertices if delone._dot(normal, v) == beta)
+            moved = tuple(t + F(n, 7) for t, n in zip(x, normal))
+            with pytest.raises(VerificationError):
+                delone._check_voronoi_vertices(qi, [*vor.vertices, moved])
+    x = (F(51, 100), F(0))
+    assert 3 * I2(x) < 1 < 4 * I2(x)
+    with pytest.raises(VerificationError):
+        delone._check_voronoi_vertices([[1, 0], [0, 1]], [x])
+    delone._check_voronoi_vertices([[1, 0], [0, 1]], [(F(1, 2), F(0))])
+
+
+def test_voronoi_and_zonotope_work_counts(monkeypatch):
+    """The zonotope check of AK4 solves no LP, and voronoi_polytope
+    enumerates lattice points once per definite form (for a semi-definite
+    form, once for its definite block)."""
+    lp_calls, enumerations = [], []
+    lp, enum = delone.feasible_nonneg_combination, delone.enumerate_in_ellipsoid
+
+    def counted_lp(*args):
+        lp_calls.append(args)
+        return lp(*args)
+
+    def counted_enum(*args):
+        enumerations.append(args)
+        return enum(*args)
+
+    monkeypatch.setattr(delone, "feasible_nonneg_combination", counted_lp)
+    monkeypatch.setattr(delone, "enumerate_in_ellipsoid", counted_enum)
+    assert minkowski_sum_check(AK4, 2)
+    assert (len(lp_calls), len(enumerations)) == (0, 1)
+    for q in (HEX, D4, q0_principal(4), QuadForm.from_rows([[1, 0], [0, 0]])):
+        enumerations.clear()
+        voronoi_polytope(q)
+        assert len(enumerations) == 1
+    assert lp_calls == []
+
+
 def test_minkowski_sum_checks():
     assert minkowski_sum_check(AK3, 2)
     assert minkowski_sum_check(TUMatrix.check(IntMatrix.identity(2)), 2)
@@ -702,6 +758,79 @@ def test_minkowski_vertices_square():
         (F(1, 2), F(1, 2)), (F(1, 2), F(-1, 2)),
         (F(-1, 2), F(1, 2)), (F(-1, 2), F(-1, 2)),
     }
+
+
+# The zonotope's vertices by the filter it was computed with before: the
+# iterated Minkowski sum, cut back after each segment to the points that are
+# not a convex combination of the others (one exact LP per point).
+
+
+def _reference_zonotope_vertices(segments, g):
+    pts = [tuple(F(0) for _ in range(g))]
+    for u in segments:
+        half = [F(x) / 2 for x in u]
+        new = {tuple(a + s * b for a, b in zip(p, half)) for p in pts for s in (1, -1)}
+        pts = []
+        for p in sorted(new):
+            others = [(*o, 1) for o in new if o != p]
+            if not others or feasible_nonneg_combination(others, (*p, 1)) is None:
+                pts.append(p)
+    return sorted(pts)
+
+
+def _k5_segments():
+    a = TUMatrix.check(graphic_representation(complete_graph(5)))
+    cols = a.inner.columns()
+    qinv = invert(_summed_form(a).matrix)
+    return [qinv.mul_vector([F(x) for x in v]) for v in cols]
+
+
+def _zonotope_segment_sets():
+    """Seeded segment sets at g = 1..4: generic ones, and ones with a
+    parallel (or antiparallel) copy, a zero segment, or segments spanning
+    only a subspace; then the K5 segments (120 vertices)."""
+    rng = random.Random(3131)
+
+    def vec(g):
+        return [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(g)]
+
+    sets = []
+    for g in (1, 2, 3, 4):
+        for k in range(24):
+            n = rng.randint(1, min(g + 2, 6))
+            if k % 4 == 3:  # inside a random subspace of dimension < g
+                basis = [vec(g) for _ in range(rng.randint(0, g - 1))]
+                segs = [[sum((rng.randint(-2, 2) * b[i] for b in basis), F(0))
+                         for i in range(g)] for _ in range(n)]
+            else:
+                segs = [vec(g) for _ in range(n)]
+            if k % 4 == 1:
+                segs.append([F(rng.choice((-2, -1, 1, 3)), 2) * x for x in rng.choice(segs)])
+            if k % 4 == 2:
+                segs.insert(rng.randint(0, n), [F(0)] * g)
+            sets.append((segs, g))
+    sets.append(([], 3))
+    sets.append((_k5_segments(), 4))
+    return sets
+
+
+def test_zonotope_vertices_are_pinned():
+    """The sorted vertices of every seeded segment set, pinned by one digest."""
+    lines = [json.dumps([[str(x) for x in v] for v in minkowski_sum_vertices(segs, g)])
+             for segs, g in _zonotope_segment_sets()]
+    assert len(json.loads(lines[-1])) == 120  # K5
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == PINNED_ZONOTOPES, digest
+
+
+# recorded with the LP filter of the iterated sum
+PINNED_ZONOTOPES = "6d7dec40bdc8da29e1478c26cd030910421492ed0cac2705fd1ee61aec5050ce"
+
+
+def test_zonotope_vertices_match_the_lp_filter():
+    # all but K5, which the pinned digest covers (the filter takes 0.6 s on it)
+    for segs, g in _zonotope_segment_sets()[:-1]:
+        assert minkowski_sum_vertices(segs, g) == _reference_zonotope_vertices(segs, g)
 
 
 def test_subdivision_json_stable():

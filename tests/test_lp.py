@@ -157,8 +157,9 @@ def test_programs_without_rows():
 
 
 def test_only_lp_calls_the_simplex():
-    """lp.py has one public function, feasible_nonneg_combination, and no
-    other module imports any other name from it."""
+    """lp.py has one public function, feasible_nonneg_combination, no other
+    module imports any other name from it, and in delone.py only
+    _cell_meets_box calls it."""
     src = Path(conelab.__file__).parent
     tree = ast.parse((src / "lp.py").read_text())
     public = [node.name for node in tree.body
@@ -179,3 +180,9 @@ def test_only_lp_calls_the_simplex():
             imports += [f"{path.name}: {name}" for name in names
                         if name != "feasible_nonneg_combination"]
     assert imports == []
+    callers = [fn.name for fn in ast.walk(ast.parse((src / "delone.py").read_text()))
+               if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)
+               if isinstance(node, ast.Call)
+               and "feasible_nonneg_combination" in (getattr(node.func, "id", None),
+                                                     getattr(node.func, "attr", None))]
+    assert callers == ["_cell_meets_box"]
