@@ -206,6 +206,35 @@ def int_determinant(rows: Sequence[Sequence[int]]) -> int:
     return _bareiss_int_det(list(rows))
 
 
+def symmetric_bareiss(rows: Sequence[Sequence[int]]):
+    """(m, d) for a symmetric integer matrix Q whose leading principal
+    minors d[1..n] are all positive, else None (Sylvester's criterion: None
+    exactly when Q is not positive definite).
+
+    One fraction-free elimination without row swaps on the upper triangle.
+    Row k of m holds, in columns j >= k, the bordered minors m[k][j] of
+    rows 0..k and columns 0..k-1, j, so m[k][k] = d[k + 1] (d[0] = 1), and
+
+        Q(y) = sum_k (sum_{j >= k} m[k][j] y_j)^2 / (d[k] d[k + 1]),
+
+    the LDL^t factorization with every entry over a known denominator.
+    """
+    n = len(rows)
+    m = [list(r) for r in rows]
+    d = [1]
+    for k in range(n):
+        p = m[k][k]
+        if p <= 0:
+            return None
+        mk = m[k]
+        for i in range(k + 1, n):
+            mi, f = m[i], mk[i]
+            for j in range(i, n):
+                mi[j] = (p * mi[j] - f * mk[j]) // d[k]
+        d.append(p)
+    return m, d
+
+
 # ---------------------------------------------------------------------------
 # Hermite normal form
 
@@ -396,7 +425,9 @@ def ldlt_decompose(q: RatMatrix):
     """Cholesky-style Q = L D L^t with unit lower L and positive diagonal D.
 
     Returns None as soon as a pivot fails to be strictly positive, which by
-    Sylvester's criterion means Q is not positive definite.
+    Sylvester's criterion means Q is not positive definite.  The library
+    decides definiteness and enumerates on symmetric_bareiss instead; this
+    Fraction form is what `conelab mat ldlt` prints.
     """
     if not q.is_symmetric():
         raise DimensionError("ldlt needs a symmetric matrix")

@@ -1,9 +1,10 @@
 """Positive definite quadratic forms: minima, perfect cones, well-suited sums.
 
-Lattice points inside an ellipsoid are enumerated by branch-and-bound on an
-exact LDL^t factorization; all interval bounds are decided by integer
-comparisons of squares, so the reported minima and minimal-vector sets are
-certificates, not approximations.
+Lattice points inside an ellipsoid are enumerated by Fincke-Pohst branch
+and bound on the fraction-free LDL^t (symmetric Bareiss pivots) of an
+integer multiple of the form; every coordinate range is an integer square
+root of an integer budget, so the reported minima and minimal-vector sets
+are certificates, not approximations.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .exact import (
     clear_denominators,
     hermite_normal_form,
     invert,
-    ldlt_decompose,
+    symmetric_bareiss,
 )
 from .tumatrix import (
     SumShape2,
@@ -69,8 +70,18 @@ class QuadForm:
         return QuadForm(hr.mul(self.matrix).mul(hr.transpose()))
 
 
+def _integer_pivots(q: RatMatrix):
+    """(m, d, den): symmetric_bareiss of den Q, den the least positive
+    integer that makes it integral; None if Q is not positive definite."""
+    g = q.rows
+    flat, den = clear_denominators([x for row in q.data for x in row])
+    pivots = symmetric_bareiss([flat[i * g:(i + 1) * g] for i in range(g)])
+    return None if pivots is None else (*pivots, den)
+
+
 def is_positive_definite(q: QuadForm) -> bool:
-    return ldlt_decompose(q.matrix) is not None
+    """Sylvester's criterion: every leading principal minor is positive."""
+    return _integer_pivots(q.matrix) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -109,58 +120,56 @@ def rational_rank_normal_form(q: QuadForm):
 # ellipsoid enumeration
 
 
-def _floor_sqrt_minus(t: Fraction, s: Fraction) -> int:
-    """Largest integer x with x <= sqrt(t) - s, for t >= 0."""
-    p, qd = t.numerator, t.denominator
-    a, b = s.numerator, s.denominator
-    est = (math.isqrt(p * qd * b * b) - a * qd) // (b * qd)
-
-    def ok(x: int) -> bool:
-        u = x * b + a  # x + s = u / b
-        return u <= 0 or u * u * qd <= p * b * b
-
-    while ok(est + 1):
-        est += 1
-    while not ok(est):
-        est -= 1
-    return est
-
-
 def enumerate_in_ellipsoid(q: RatMatrix, bound: Fraction,
                            center: Optional[Sequence[Fraction]] = None):
     """All x in Z^g with (x - c)^t Q (x - c) <= bound, with exact values.
 
-    Branch and bound from the last coordinate; Q must be positive definite.
-    Returns a list of (x, value) pairs.
+    Fincke-Pohst branch and bound from the last coordinate, in integers.
+    With Q scaled to an integer matrix, c = cn/e and z = e x - cn, one
+    symmetric_bareiss pass writes e^2 Q(x - c) over one common denominator
+    as sum_k coef_k t_k^2, where t_k = sum_{j >= k} m[k][j] z_j is linear
+    in x_k once x_{k+1}, ..., x_{g-1} are fixed.  Each coordinate's range
+    is then the integer interval |t_k| <= isqrt(remaining budget / coef_k).
+    Q must be positive definite.  Returns a list of (x, value) pairs in
+    lexicographic order of (x_{g-1}, ..., x_0); a negative bound gives the
+    empty list.
     """
-    fact = ldlt_decompose(q)
-    if fact is None:
+    if not q.is_symmetric():
+        raise DimensionError("enumeration needs a symmetric matrix")
+    pivots = _integer_pivots(q)
+    if pivots is None:
         raise ValueError("enumeration requires a positive definite form")
-    lmat, diag = fact
+    m, d, qden = pivots
     g = q.rows
-    c = [Fraction(x) for x in (center if center is not None else [0] * g)]
+    cn, e = clear_denominators([Fraction(x) for x in center] if center is not None
+                               else [Fraction(0)] * g)
+    den = math.lcm(*(d[k] * d[k + 1] for k in range(g)))
+    coef = [den // (d[k] * d[k + 1]) for k in range(g)]
+    # (x - c)^t Q (x - c) = (sum_k coef_k t_k^2) / scale
+    scale = den * e * e * qden
     bound = Fraction(bound)
+    budget = bound.numerator * scale // bound.denominator
+    if budget < 0:
+        return []
     out = []
     x = [0] * g
+    z = [0] * g
 
-    def descend(i: int, used: Fraction):
-        if i < 0:
-            out.append((tuple(x), used))
+    def descend(k: int, used: int):
+        if k < 0:
+            out.append((tuple(x), Fraction(used, scale)))
             return
-        # s_i = sum_{j>i} L[j][i] * (x_j - c_j)
-        s = sum(lmat.data[j][i] * (x[j] - c[j]) for j in range(i + 1, g))
-        rem = bound - used
-        t = rem / diag[i]
-        shift = s - c[i]  # (x_i + shift)^2 <= t
-        hi = _floor_sqrt_minus(t, shift)
-        lo = -_floor_sqrt_minus(t, -shift)
-        for xi in range(lo, hi + 1):
-            x[i] = xi
-            w = xi + shift
-            descend(i - 1, used + diag[i] * w * w)
-        x[i] = 0
+        row = m[k]
+        a = row[k] * e  # t_k = a x_k + b
+        b = sum(row[j] * z[j] for j in range(k + 1, g)) - row[k] * cn[k]
+        s = math.isqrt((budget - used) // coef[k])
+        for xk in range(-((s + b) // a), (s - b) // a + 1):
+            x[k] = xk
+            z[k] = e * xk - cn[k]
+            t = a * xk + b
+            descend(k - 1, used + coef[k] * t * t)
 
-    descend(g - 1, Fraction(0))
+    descend(g - 1, 0)
     return out
 
 

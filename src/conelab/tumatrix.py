@@ -32,24 +32,39 @@ class BlockShapeError(ValueError):
 
 
 def is_totally_unimodular(a: IntMatrix) -> bool:
-    """Brute-force check: every square submatrix has determinant -1, 0 or 1.
+    """Every square submatrix has determinant -1, 0 or 1.
 
-    Exponential in the matrix size, which is fine at this package's scale
-    (fixtures stay around a dozen columns).
+    Each k x k minor is a Laplace expansion along the first row of its row
+    set T = (r, T'), read off the (k-1) x (k-1) minors of T' on the same
+    columns.  Row sets are walked depth-first over suffixes (T' is visited
+    before every r < T'[0] is prepended to it), so one dict of nonzero
+    minors, keyed by column bitmask, is held per depth.  TU is closed under
+    transposition, so the shorter side indexes the columns.  Stops at the
+    first entry or minor outside {-1, 0, 1}.
     """
-    for row in a.data:
-        for x in row:
-            if x not in (-1, 0, 1):
+    if any(x not in (-1, 0, 1) for row in a.data for x in row):
+        return False
+    rows = a.data if a.rows >= a.cols else a.transpose().data
+    support = [[(1 << j, x) for j, x in enumerate(row) if x] for row in rows]
+
+    def extend(first: int, minors: dict) -> bool:
+        # minors of the rows T = (first, ...); the rows r < first extend T
+        for r in range(first):
+            grown = {}
+            for cols, det in minors.items():
+                for bit, x in support[r]:
+                    if not cols & bit:
+                        # bit sits at position popcount(cols below bit)
+                        term = -x * det if (cols & (bit - 1)).bit_count() & 1 else x * det
+                        grown[cols | bit] = grown.get(cols | bit, 0) + term
+            grown = {cols: det for cols, det in grown.items() if det}
+            if any(det not in (-1, 1) for det in grown.values()):
                 return False
-    kmax = min(a.rows, a.cols)
-    for k in range(2, kmax + 1):
-        for rows_idx in combinations(range(a.rows), k):
-            picked = [a.data[i] for i in rows_idx]
-            for cols_idx in combinations(range(a.cols), k):
-                sub = [tuple(row[j] for j in cols_idx) for row in picked]
-                if int_determinant(sub) not in (-1, 0, 1):
-                    return False
-    return True
+            if grown and not extend(r, grown):
+                return False
+        return True
+
+    return extend(len(rows), {0: 1})
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,14 @@
 """Property tests on generated inputs: scaling and GL_g(Z) invariance of
 Delone subdivisions, radius independence of full-rank dicings, the
-dicing identity on the boundary of the cone, and GL_g(Z) invariance of
-face decisions in perfect cones.
+dicing identity on the boundary of the cone, GL_g(Z) invariance of
+face decisions in perfect cones and of minimal vectors, and the
+invariance of the TU verdict under the operations that preserve total
+unimodularity.
 
 Examples are derandomized, so the suite draws the same inputs every run.
 """
 
+import random
 from fractions import Fraction as F
 
 from hypothesis import example, given, settings
@@ -21,8 +24,14 @@ from conelab.delone import (
 from conelab.exact import IntMatrix, canonical_sign, primitive
 from conelab.fixtures import load_graph, load_int_matrix
 from conelab.matroids import cographic_representation
-from conelab.quadforms import QuadForm, is_positive_definite, perfect_cone_of, q0_principal
-from conelab.tumatrix import TUMatrix
+from conelab.quadforms import (
+    QuadForm,
+    is_positive_definite,
+    minimal_vectors,
+    perfect_cone_of,
+    q0_principal,
+)
+from conelab.tumatrix import TUMatrix, is_totally_unimodular
 from test_delone import D4, _columns, _mapped_cells, _rank_deficient_supports
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
@@ -181,3 +190,49 @@ def test_face_decisions_are_gl_invariant(question):
     assert _checked_face(mapped, image) == face
     if cone.simplicial:
         assert face
+
+
+@PROPERTY
+@given(st.sampled_from((2, 3, 4)).flatmap(
+    lambda g: st.tuples(definite_forms(g), unimodular(g))))
+def test_minimal_vectors_are_gl_equivariant(qh):
+    # xi is minimal for h Q h^t exactly when h^t xi is minimal for Q
+    q, h = qh
+    mv, mv2 = minimal_vectors(q), minimal_vectors(q.conjugate(h))
+    assert mv2.minimum == mv.minimum
+    ht = h.transpose()
+    assert {canonical_sign(ht.mul_vector(v)) for v in mv2.vectors} == set(mv.vectors)
+
+
+sign_matrices = st.tuples(st.integers(1, 5), st.integers(1, 6)).flatmap(
+    lambda mn: st.lists(st.lists(st.sampled_from((0, 0, 1, -1)), min_size=mn[1],
+                                 max_size=mn[1]), min_size=mn[0], max_size=mn[0]))
+
+
+def _pivot(rows, r, s):
+    """The pivot on the entry e = rows[r][s] = +-1 of [e c; b D]:
+    [-e e c; e b D - e b c], which is TU exactly when the matrix is."""
+    e = rows[r][s]
+    return [[-e if (i, j) == (r, s) else e * x if i == r or j == s
+             else x - e * rows[i][s] * rows[r][j] for j, x in enumerate(row)]
+            for i, row in enumerate(rows)]
+
+
+@PROPERTY
+@given(sign_matrices, st.randoms(use_true_random=False))
+@example([[1, 1, 0], [0, 1, 1], [1, 0, 1]], random.Random(0))
+@example([[1, 1], [1, -1]], random.Random(0))
+def test_tu_verdict_is_invariant(rows, rnd):
+    tu = is_totally_unimodular(IntMatrix(rows))
+    m, n = len(rows), len(rows[0])
+    assert is_totally_unimodular(IntMatrix(rows).transpose()) == tu
+    perm_r, perm_c = rnd.sample(range(m), m), rnd.sample(range(n), n)
+    assert is_totally_unimodular(IntMatrix([[rows[i][j] for j in perm_c]
+                                            for i in perm_r])) == tu
+    r = rnd.randrange(m)
+    assert is_totally_unimodular(IntMatrix([[-x for x in row] if i == r else row
+                                            for i, row in enumerate(rows)])) == tu
+    units = [(i, j) for i in range(m) for j in range(n) if rows[i][j]]
+    if units:
+        pivoted = _pivot(rows, *rnd.choice(units))
+        assert is_totally_unimodular(IntMatrix(pivoted)) == tu

@@ -1,10 +1,15 @@
+import ast
+import math
 import random
 from fractions import Fraction as F
 from itertools import product
+from pathlib import Path
 
 import pytest
 
-from conelab.exact import IntMatrix, RatMatrix, determinant
+import conelab
+from conelab import exact
+from conelab.exact import IntMatrix, RatMatrix, determinant, ldlt_decompose
 from conelab.fixtures import load_int_matrix, load_matrix
 from conelab.matroids import complete_graph, graphic_representation
 from conelab.quadforms import (
@@ -120,6 +125,137 @@ def test_enumeration_with_center():
     q = RatMatrix([[1, 0], [0, 1]])
     got = sorted(v for v, _ in enumerate_in_ellipsoid(q, F(1, 2), (F(1, 2), 0)))
     assert got == [(0, 0), (1, 0)]
+
+
+# The enumerator as it was before it ran on integers: branch and bound in
+# Fraction arithmetic on the Fraction LDL^t.
+
+
+def _reference_floor_sqrt_minus(t, s):
+    """Largest integer x with x <= sqrt(t) - s, for t >= 0."""
+    p, qd = t.numerator, t.denominator
+    a, b = s.numerator, s.denominator
+    est = (math.isqrt(p * qd * b * b) - a * qd) // (b * qd)
+
+    def ok(x):
+        u = x * b + a  # x + s = u / b
+        return u <= 0 or u * u * qd <= p * b * b
+
+    while ok(est + 1):
+        est += 1
+    while not ok(est):
+        est -= 1
+    return est
+
+
+def _reference_enumerate(q, bound, center=None):
+    fact = ldlt_decompose(q)
+    if fact is None:
+        raise ValueError("enumeration requires a positive definite form")
+    lmat, diag = fact
+    g = q.rows
+    c = [F(x) for x in (center if center is not None else [0] * g)]
+    bound = F(bound)
+    out = []
+    x = [0] * g
+
+    def descend(i, used):
+        if i < 0:
+            out.append((tuple(x), used))
+            return
+        s = sum(lmat.data[j][i] * (x[j] - c[j]) for j in range(i + 1, g))
+        t = (bound - used) / diag[i]
+        shift = s - c[i]  # (x_i + shift)^2 <= t
+        hi = _reference_floor_sqrt_minus(t, shift)
+        lo = -_reference_floor_sqrt_minus(t, -shift)
+        for xi in range(lo, hi + 1):
+            x[i] = xi
+            w = xi + shift
+            descend(i - 1, used + diag[i] * w * w)
+        x[i] = 0
+
+    descend(g - 1, F(0))
+    return out
+
+
+def _seeded_definite_rows(rng, g):
+    """sum_i lam_i v_i v_i^t over g + 2 vectors in [-2, 2]^g plus a
+    rational multiple of the identity, made definite if it is not."""
+    vecs = [[rng.randint(-2, 2) for _ in range(g)] for _ in range(g + 2)]
+    lam = [F(rng.randint(1, 6), rng.randint(1, 4)) for _ in vecs]
+    shift = F(rng.randint(0, 2), rng.randint(1, 3))
+    rows = [[sum(l * v[i] * v[j] for l, v in zip(lam, vecs)) + shift * (i == j)
+             for j in range(g)] for i in range(g)]
+    if not is_positive_definite(QuadForm.from_rows(rows)):
+        rows = [[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(rows)]
+    return rows
+
+
+def test_enumeration_matches_the_fraction_enumerator():
+    """Same list, in the same order with the same Fraction values, as the
+    Fraction branch and bound, on 300 seeded forms at g = 1..5 with
+    rational bounds (bound 0 among them) and rational centres."""
+    rng = random.Random(18)
+    points = 0
+    for t in range(300):
+        g = 1 + t % 5
+        q = RatMatrix(_seeded_definite_rows(rng, g))
+        # a rational multiple of the smallest diagonal entry, 0 to 4 times it
+        bound = min(q.data[i][i] for i in range(g)) * F(rng.randint(0, 40), rng.randint(7, 10))
+        bound = bound if t % 7 else F(0)
+        centre = None if t % 3 == 0 else [F(rng.randint(-9, 9), rng.randint(1, 6))
+                                          for _ in range(g)]
+        got = enumerate_in_ellipsoid(q, bound, centre)
+        assert got == _reference_enumerate(q, bound, centre), (q, bound, centre)
+        assert all(type(val) is F for _, val in got)
+        points += len(got)
+    assert points > 5000
+    # bound 0 at the origin: only the centre itself
+    assert enumerate_in_ellipsoid(q, 0) == [((0,) * q.rows, F(0))]
+
+
+def test_enumeration_edge_bounds_and_indefinite_forms():
+    q = RatMatrix([[2, 1], [1, F(3, 2)]])
+    assert enumerate_in_ellipsoid(q, 0, (F(1, 2), 0)) == []
+    assert enumerate_in_ellipsoid(q, 0, (1, -2)) == [((1, -2), F(0))]
+    # a negative bound holds no point; the Fraction enumerator instead
+    # failed inside math.isqrt
+    assert enumerate_in_ellipsoid(q, F(-1, 3)) == []
+    with pytest.raises(ValueError, match="isqrt"):
+        _reference_enumerate(q, F(-1, 3))
+    for rows in ([[1, 2], [2, 1]], [[1, 0], [0, 0]], [[0]], [[F(-1, 2)]],
+                 [[1, 1, 0], [1, 1, 0], [0, 0, 1]]):
+        with pytest.raises(ValueError, match="^enumeration requires a positive definite form$"):
+            enumerate_in_ellipsoid(RatMatrix(rows), 1)
+
+
+def test_enumeration_computes_no_fraction_ldlt(monkeypatch):
+    """minimal_vectors and is_well_suited decide definiteness and enumerate
+    on integer pivots, with no Fraction LDL^t."""
+    calls = []
+
+    def counted(q):
+        calls.append(q)
+        return ldlt_decompose(q)
+
+    monkeypatch.setattr(exact, "ldlt_decompose", counted)
+    assert len(minimal_vectors(q5()).vectors) == 20
+    assert is_well_suited(QuadForm(load_matrix("QW10.txt")), TUMatrix.check(load_int_matrix("A10.txt")))
+    assert not is_well_suited(q5(), TUMatrix.check(load_int_matrix("A10.txt")))
+    assert calls == []
+
+
+def test_only_the_cli_imports_the_fraction_ldlt():
+    """ldlt_decompose is what `conelab mat ldlt` prints; no library module
+    imports it or reaches it as a module attribute."""
+    src = Path(conelab.__file__).parent
+    users = sorted(
+        path.name for path in src.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        and any(alias.name == "ldlt_decompose" for alias in node.names)
+        or isinstance(node, ast.Attribute) and node.attr == "ldlt_decompose")
+    assert users == ["cli.py"]
 
 
 def test_gl_equivariance_of_minimal_vectors():

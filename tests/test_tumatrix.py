@@ -1,10 +1,12 @@
 import random
+from itertools import combinations
 
 import pytest
 
-from conelab.exact import IntMatrix, determinant
-from conelab.fixtures import load_int_matrix
-from conelab.matroids import complete_graph, graphic_representation
+from conelab import exact
+from conelab.exact import IntMatrix, determinant, int_determinant
+from conelab.fixtures import load_graph, load_int_matrix
+from conelab.matroids import cographic_representation, complete_graph, graphic_representation
 from conelab.tumatrix import (
     BlockShapeError,
     SumShape2,
@@ -28,6 +30,91 @@ def test_tu_examples():
     assert is_totally_unimodular(IntMatrix.identity(4))
     assert not is_totally_unimodular(IntMatrix([[1, 1], [1, -1]]))
     assert not is_totally_unimodular(IntMatrix([[2]]))
+
+
+def _brute_force_tu(a):
+    """The TU test as it was before minors were shared: a fresh Bareiss
+    determinant for every square submatrix."""
+    for row in a.data:
+        for x in row:
+            if x not in (-1, 0, 1):
+                return False
+    for k in range(2, min(a.rows, a.cols) + 1):
+        for rows_idx in combinations(range(a.rows), k):
+            picked = [a.data[i] for i in rows_idx]
+            for cols_idx in combinations(range(a.cols), k):
+                sub = [tuple(row[j] for j in cols_idx) for row in picked]
+                if int_determinant(sub) not in (-1, 0, 1):
+                    return False
+    return True
+
+
+TU_FIXTURES = [load_int_matrix(f"{name}.txt") for name in (
+    "A10", "AK3", "AK4", "I2", "I3", "SUM2_LEFT_A", "SUM2_RIGHT_A",
+    "SUM3_LEFT_A", "SUM3_RIGHT_A", "SUM3Z_LEFT_A", "SUM3Z_RIGHT_A")]
+TU_FIXTURES += [graphic_representation(load_graph("THETA.graph")),
+                cographic_representation(load_graph("THETA.graph"))]
+
+
+def _random_sign_matrices(rng, count):
+    """count {0, +-1} matrices up to 6 x 8: half with a random density,
+    half a large signed submatrix of a TU fixture or of its transpose, one
+    entry changed in every other one."""
+    out = []
+    for t in range(count):
+        if t % 2 == 0:
+            m, n, p = rng.randint(1, 6), rng.randint(1, 8), rng.random()
+            out.append([[rng.choice((-1, 1)) if rng.random() < p else 0
+                         for _ in range(n)] for _ in range(m)])
+            continue
+        a = rng.choice(TU_FIXTURES)
+        a = a.transpose() if rng.random() < 0.5 else a
+        m, n = min(6, a.rows), min(8, a.cols)
+        rows = rng.sample(range(a.rows), rng.randint(max(1, m - 1), m))
+        cols = rng.sample(range(a.cols), rng.randint(max(1, n - 2), n))
+        sub = [[rng.choice((-1, 1)) * a.data[i][j] for j in cols] for i in rows]
+        if t % 4 == 1:
+            i, j = rng.randrange(len(rows)), rng.randrange(len(cols))
+            sub[i][j] = rng.choice([x for x in (-1, 0, 1) if x != sub[i][j]])
+        out.append(sub)
+    return [IntMatrix(rows) for rows in out]
+
+
+def test_tu_matches_the_brute_force_test():
+    """The shared-minor walk agrees with one determinant per submatrix on
+    2,400 seeded {0, +-1} matrices up to 6 x 8, on every fixture system, on
+    each fixture with one entry negated, and on both transposes."""
+    cases = _random_sign_matrices(random.Random(18), 2400) + TU_FIXTURES
+    for a in TU_FIXTURES:
+        for i, j in ((0, 0), (a.rows - 1, a.cols // 2), (a.rows // 2, a.cols - 1)):
+            rows = [list(row) for row in a.data]
+            rows[i][j] = -rows[i][j] or 1
+            cases.append(IntMatrix(rows))
+    verdicts = []
+    for a in cases:
+        want = _brute_force_tu(a)
+        assert is_totally_unimodular(a) == want, a
+        assert is_totally_unimodular(a.transpose()) == want, a
+        verdicts.append(want)
+    assert all(is_totally_unimodular(a) for a in TU_FIXTURES)
+    assert 400 < sum(verdicts) < len(verdicts) - 400
+
+
+def test_tu_test_computes_no_determinant(monkeypatch):
+    """The A10 test reads every minor off the minors one row smaller, with
+    no Bareiss determinant."""
+    calls = []
+    bareiss = exact._bareiss_int_det
+
+    def counted(rows):
+        calls.append(rows)
+        return bareiss(rows)
+
+    monkeypatch.setattr(exact, "_bareiss_int_det", counted)
+    assert is_totally_unimodular(load_int_matrix("A10.txt"))
+    assert calls == []
+    assert not is_totally_unimodular(IntMatrix([[1, 1, 0], [1, 0, 1], [0, 1, 1]]))
+    assert calls == []
 
 
 def test_tu_invariance_under_signed_permutation():
