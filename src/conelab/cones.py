@@ -10,7 +10,7 @@ feasibility LPs.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, TYPE_CHECKING
 
@@ -76,14 +76,20 @@ def evaluate_functional(h: RatMatrix, v: Sequence[int]) -> Fraction:
 @dataclass(frozen=True)
 class RayCone:
     """Cone generated by {vv^t : v generator}; vectors kept primitive and
-    sign-normalized so generator sets compare by equality."""
+    sign-normalized so generator sets compare by equality.  `simplicial`
+    is derived from the generators: their rank-one forms are linearly
+    independent."""
 
     g: int
     generators: tuple
-    simplicial: bool
+    simplicial: bool = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "simplicial",
+                           self.span_dimension() == len(self.generators))
 
     @classmethod
-    def from_vectors(cls, g: int, vectors, simplicial: Optional[bool] = None) -> "RayCone":
+    def from_vectors(cls, g: int, vectors) -> "RayCone":
         gens = []
         for v in vectors:
             if len(v) != g:
@@ -94,13 +100,7 @@ class RayCone:
             gens.append(p)
         if len(set(gens)) != len(gens):
             raise ValueError("proportional generators")
-        gens = tuple(gens)
-        indep = _linearly_independent(gens)
-        if simplicial is None:
-            simplicial = indep
-        elif simplicial and not indep:
-            raise ValueError("generators claimed simplicial but are dependent")
-        return cls(g, gens, simplicial)
+        return cls(g, tuple(gens))
 
     def span_dimension(self) -> int:
         if not self.generators:
@@ -119,17 +119,10 @@ class RayCone:
         for key in ("g", "generators"):
             if key not in d:
                 raise ValueError(f"cone JSON lacks the field {key!r}")
-        if not d["generators"]:
-            return cls(int(d["g"]), (), True)
-        return cls.from_vectors(int(d["g"]), d["generators"],
-                                simplicial=bool(d.get("simplicial", False)))
-
-
-def _linearly_independent(gens) -> bool:
-    if not gens:
-        return True
-    m = RatMatrix([rank_one_coords(v) for v in gens])
-    return rank(m) == len(gens)
+        cone = cls.from_vectors(int(d["g"]), d["generators"])
+        if d.get("simplicial") and not cone.simplicial:
+            raise ValueError("generators claimed simplicial but are dependent")
+        return cone
 
 
 def sigma_of_matrix(a: TUMatrix) -> RayCone:
@@ -153,7 +146,7 @@ def face_by_deletion(c: RayCone, indices) -> RayCone:
         if not (0 <= i < len(c.generators)):
             raise IndexError(f"generator index {i} out of range")
     kept = tuple(v for i, v in enumerate(c.generators) if i not in drop)
-    return RayCone(c.g, kept, c.simplicial)
+    return RayCone(c.g, kept)
 
 
 def membership(q, c: RayCone) -> Optional[tuple]:
@@ -185,8 +178,7 @@ def principal_cone_contains(q) -> bool:
 def gl_conjugate(h: IntMatrix, c: RayCone) -> RayCone:
     if abs(determinant(h.to_rational())) != 1:
         raise ValueError("conjugating matrix must have determinant +-1")
-    return RayCone.from_vectors(c.g, [h.mul_vector(v) for v in c.generators],
-                                simplicial=c.simplicial)
+    return RayCone.from_vectors(c.g, [h.mul_vector(v) for v in c.generators])
 
 
 @dataclass(frozen=True)

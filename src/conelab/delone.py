@@ -48,6 +48,7 @@ from .exact import (
     greedy_basis,
     hermite_normal_form,
     int_determinant,
+    integer_pivots,
     invert,
     primitive,
     rank,
@@ -59,7 +60,6 @@ from .quadforms import (
     QuadForm,
     VerificationError,
     enumerate_in_ellipsoid,
-    is_positive_definite,
     rational_rank_normal_form,
 )
 from .tumatrix import TUMatrix, is_simple_matrix
@@ -276,20 +276,24 @@ def delone_subdivision(q: QuadForm, window_radius: Optional[int] = None) -> Peri
     """
     g = q.g
     r = window_radius_for(g, window_radius)
-    if not is_positive_definite(q):
+    form = _integer_form(q)
+    if form is None:
         return _degenerate_delone(q, r)
-    star = _star_walk(_integer_form(q), r)
+    star = _star_walk(form, r)
     return PeriodicSubdivision(g, r, frozenset(normalize_cell(verts) for _, verts in star))
 
 
 def _integer_form(q: QuadForm):
-    """(qi, adj, det) for a definite form: the least positive integer
-    multiple qi of its matrix, the adjugate of qi and det(qi) > 0.  The
-    Delone subdivision and the Voronoi cell's vertices only depend on Q up
-    to positive scaling, so both are computed from qi in integers."""
-    _, den = clear_denominators([x for row in q.matrix.data for x in row])
-    qi = [[int(x) for x in row] for row in q.scale(den).matrix.data]
-    det = int_determinant(qi)
+    """(qi, adj, det) for a definite form, else None: the least positive
+    integer multiple qi of its matrix, the adjugate of qi and det(qi) > 0,
+    the last leading minor of the one symmetric Bareiss pass that decides
+    definiteness (see integer_pivots).  The Delone subdivision and the
+    Voronoi cell's vertices only depend on Q up to positive scaling, so
+    both are computed from qi in integers."""
+    qi, _, pivots = integer_pivots(q.matrix)
+    if pivots is None:
+        return None
+    det = pivots[1][-1]
     adj = [[int(x * det) for x in row] for row in invert(IntMatrix(qi)).data]
     return qi, adj, det
 
@@ -576,9 +580,9 @@ def voronoi_polytope(q: QuadForm, radius: int = 3) -> VPolytope:
     then checked on its own coordinates (see _check_voronoi_vertices).
     """
     g = q.g
-    if not is_positive_definite(q):
-        return _degenerate_voronoi(q, radius)
     form = _integer_form(q)
+    if form is None:
+        return _degenerate_voronoi(q, radius)
     qi, adj, det = form
     star, _ = _grow_window(lambda r: _star_walk(form, r), max(radius, 2))
     centres = {}  # vertex -> (w, s), the vertex being w/s

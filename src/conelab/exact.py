@@ -235,6 +235,38 @@ def symmetric_bareiss(rows: Sequence[Sequence[int]]):
     return m, d
 
 
+def integer_pivots(q: RatMatrix):
+    """(qi, den, pivots) for a symmetric rational Q: qi = den Q as int rows,
+    den the least positive integer that makes it integral, and pivots the
+    (m, d) of symmetric_bareiss(qi), or None when Q is not positive definite.
+    Every definiteness test, LDL^t and definite walk reads this one pass."""
+    g = q.rows
+    flat, den = clear_denominators([x for row in q.data for x in row])
+    qi = [flat[i * g:(i + 1) * g] for i in range(g)]
+    return qi, den, symmetric_bareiss(qi)
+
+
+def ldlt_decompose(q: RatMatrix):
+    """Q = L D L^t with unit lower L and positive diagonal D, read off the
+    symmetric Bareiss pivots of qi = den Q (see integer_pivots): below the
+    diagonal L[i][k] = m[k][i] / d[k + 1], and D[k] = d[k + 1] / (d[k] den).
+
+    Returns None when Q is not positive definite (Sylvester's criterion:
+    some leading principal minor is not positive).  This Fraction form is
+    what `conelab mat ldlt` prints; the library uses the pivots directly.
+    """
+    if not q.is_symmetric():
+        raise DimensionError("ldlt needs a symmetric matrix")
+    _, den, pivots = integer_pivots(q)
+    if pivots is None:
+        return None
+    m, d = pivots
+    n = q.rows
+    l = [[Fraction(m[k][i], d[k + 1]) if k < i else int(i == k) for k in range(n)]
+         for i in range(n)]
+    return RatMatrix(l), tuple(Fraction(d[k + 1], d[k] * den) for k in range(n))
+
+
 # ---------------------------------------------------------------------------
 # Hermite normal form
 
@@ -415,34 +447,6 @@ def invert(a: Union[IntMatrix, RatMatrix]) -> RatMatrix:
         raise ValueError("matrix is singular")
     return RatMatrix(tuple(tuple(Fraction(x, row[i]) for x in row[n:])
                            for i, row in enumerate(m)))
-
-
-# ---------------------------------------------------------------------------
-# LDL^t
-
-
-def ldlt_decompose(q: RatMatrix):
-    """Cholesky-style Q = L D L^t with unit lower L and positive diagonal D.
-
-    Returns None as soon as a pivot fails to be strictly positive, which by
-    Sylvester's criterion means Q is not positive definite.  The library
-    decides definiteness and enumerates on symmetric_bareiss instead; this
-    Fraction form is what `conelab mat ldlt` prints.
-    """
-    if not q.is_symmetric():
-        raise DimensionError("ldlt needs a symmetric matrix")
-    n = q.rows
-    l = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    d = [Fraction(0)] * n
-    for j in range(n):
-        dj = q.data[j][j] - sum(l[j][k] * l[j][k] * d[k] for k in range(j))
-        if dj <= 0:
-            return None
-        d[j] = dj
-        for i in range(j + 1, n):
-            num = q.data[i][j] - sum(l[i][k] * l[j][k] * d[k] for k in range(j))
-            l[i][j] = num / dj
-    return RatMatrix(l), tuple(d)
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@ from .exact import (
     canonical_sign,
     clear_denominators,
     hermite_normal_form,
+    integer_pivots,
     invert,
-    symmetric_bareiss,
 )
 from .tumatrix import (
     SumShape2,
@@ -70,18 +70,9 @@ class QuadForm:
         return QuadForm(hr.mul(self.matrix).mul(hr.transpose()))
 
 
-def _integer_pivots(q: RatMatrix):
-    """(m, d, den): symmetric_bareiss of den Q, den the least positive
-    integer that makes it integral; None if Q is not positive definite."""
-    g = q.rows
-    flat, den = clear_denominators([x for row in q.data for x in row])
-    pivots = symmetric_bareiss([flat[i * g:(i + 1) * g] for i in range(g)])
-    return None if pivots is None else (*pivots, den)
-
-
 def is_positive_definite(q: QuadForm) -> bool:
     """Sylvester's criterion: every leading principal minor is positive."""
-    return _integer_pivots(q.matrix) is not None
+    return integer_pivots(q.matrix)[2] is not None
 
 
 # ---------------------------------------------------------------------------
@@ -95,12 +86,12 @@ def rational_rank_normal_form(q: QuadForm):
     space of a rational matrix is spanned by rational vectors.  Raises
     ValueError for indefinite input.  Rank 0 returns Q' = None.
     """
-    if is_positive_definite(q):
+    qi, _, pivots = integer_pivots(q.matrix)
+    if pivots is not None:
         return IntMatrix.identity(q.g), q
-    # integer-scaled copy shares the kernel; its row HNF transform puts the
-    # kernel rows (over Z, a basis of Z^g) at the bottom
-    _, den = clear_denominators([x for row in q.matrix.data for x in row])
-    h_mat, u = hermite_normal_form(q.scale(den).matrix.to_integer())
+    # the integer multiple qi shares the kernel; its row HNF transform puts
+    # the kernel rows (over Z, a basis of Z^g) at the bottom
+    h_mat, u = hermite_normal_form(IntMatrix(qi))
     r = sum(1 for row in h_mat.data if any(x != 0 for x in row))
     conj = q.conjugate(u)
     for i in range(q.g):
@@ -136,10 +127,10 @@ def enumerate_in_ellipsoid(q: RatMatrix, bound: Fraction,
     """
     if not q.is_symmetric():
         raise DimensionError("enumeration needs a symmetric matrix")
-    pivots = _integer_pivots(q)
+    _, qden, pivots = integer_pivots(q)
     if pivots is None:
         raise ValueError("enumeration requires a positive definite form")
-    m, d, qden = pivots
+    m, d = pivots
     g = q.rows
     cn, e = clear_denominators([Fraction(x) for x in center] if center is not None
                                else [Fraction(0)] * g)
@@ -299,17 +290,16 @@ def h_functional(alpha) -> Fraction:
     """Frobenius pairing <H, S> = sum_ij H_ij S_ij with h_functional_matrix().
 
     Each ordered off-diagonal pair is counted, so a rank-one array vv^t
-    scores sum_{i != j} H_ij v_i v_j.  An integer vector is accepted
-    as shorthand for its outer product.
+    scores sum_{i != j} H_ij v_i v_j.  S is a symmetric RatMatrix, or an
+    integer vector as shorthand for its outer product; any other input
+    raises TypeError.
     """
-    if isinstance(alpha, (list, tuple)) and alpha and not isinstance(alpha[0], (list, tuple)):
-        mat = rank_one_sum([[Fraction(x) for x in alpha]])
-    elif isinstance(alpha, QuadForm):
-        mat = alpha.matrix
-    elif isinstance(alpha, RatMatrix):
+    if isinstance(alpha, RatMatrix):
         mat = alpha
+    elif isinstance(alpha, (list, tuple)) and all(isinstance(x, int) for x in alpha):
+        mat = rank_one_sum([alpha])
     else:
-        mat = RatMatrix(alpha)
+        raise TypeError("h_functional takes an integer vector or a RatMatrix")
     if mat.rows != 5 or mat.cols != 5:
         raise DimensionError("functional is defined on 5x5 arrays")
     if not mat.is_symmetric():

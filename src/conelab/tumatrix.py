@@ -12,18 +12,16 @@ and simplicity of the result.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import ClassVar, Optional
 
 from .exact import (
     DimensionError,
     IntMatrix,
     canonical_sign,
+    greedy_basis,
     hermite_normal_form,
-    int_determinant,
     invert,
     primitive,
-    rank,
 )
 
 
@@ -99,48 +97,30 @@ def is_simple_matrix(a: IntMatrix) -> bool:
 def is_unimodular(a: IntMatrix) -> Optional[IntMatrix]:
     """Decide unimodularity; return a witness h in GL_g(Z) with h*A TU.
 
-    Uses the pivoting characterization: after reducing away zero rows with
-    the HNF transform, A is unimodular iff some maximal square column
-    submatrix B has determinant +-1 and B^-1 * A is totally unimodular.
-    (If h*A is TU for some h, then every unit-determinant column basis B
-    gives a TU pivot B^-1 * A, so one basis decides the question.)
+    The nonzero rows T of the Hermite normal form U*A are a basis of the
+    row lattice of A.  If h*A is TU for some h, T is a basis of the row
+    lattice of a TU matrix, so every nonsingular maximal minor of T is +-1
+    and B^-1 * T is TU for every column basis B of T.  One basis therefore
+    decides: the greedy (lexicographically first) one.  A is unimodular
+    iff B^-1 is integral and B^-1 * T is TU, and then diag(B^-1, I) * U is
+    the witness.
     """
     g = a.rows
     if is_totally_unimodular(a):
-        return IntMatrix.identity(g)
-    r = rank(a)
+        return IntMatrix.identity(g)  # the zero matrix among them
     h_mat, u = hermite_normal_form(a)
-    top = [h_mat.data[i] for i in range(r)] if r else []
-    if r == 0:
-        return IntMatrix.identity(g)  # zero matrix is trivially TU
-    # search an r x r column submatrix of the reduced row space with det +-1
-    basis_cols = None
-    for cols_idx in combinations(range(a.cols), r):
-        sub = [tuple(row[j] for j in cols_idx) for row in top]
-        if int_determinant(sub) in (-1, 1):
-            basis_cols = cols_idx
-            break
-    if basis_cols is None:
+    top = [row for row in h_mat.data if any(row)]
+    basis = greedy_basis(list(zip(*top)))
+    b_inv = invert(IntMatrix([[row[j] for j in basis] for row in top]))
+    if not b_inv.is_integral():  # det B is not +-1
         return None
-    b = IntMatrix([[top[i][j] for j in basis_cols] for i in range(r)])
-    b_inv = invert(b)
-    reduced = b_inv.mul(IntMatrix(top).to_rational())
-    if not reduced.is_integral():
+    b_inv = b_inv.to_integer()
+    if not is_totally_unimodular(b_inv.mul(IntMatrix(top))):
         return None
-    reduced_int = reduced.to_integer()
-    if not is_totally_unimodular(reduced_int):
-        return None
-    # assemble the g x g witness: diag(B^-1, I) * U
-    w_rows = []
-    for i in range(g):
-        if i < r:
-            row = [b_inv.data[i][j] for j in range(r)] + [0] * (g - r)
-        else:
-            row = [0] * g
-            row[i] = 1
-        w_rows.append(row)
-    w = IntMatrix([[int(x) for x in row] for row in w_rows])
-    return w.mul(u)
+    r = len(top)
+    w = [list(row) + [0] * (g - r) for row in b_inv.data]
+    w += [[int(i == j) for j in range(g)] for i in range(r, g)]
+    return IntMatrix(w).mul(u)
 
 
 def equivalent_unimodular(a: IntMatrix, b: IntMatrix) -> bool:

@@ -70,7 +70,7 @@ def test_membership_examples():
     c2 = sigma_of_matrix(TUMatrix.check(IntMatrix.identity(2)))
     assert membership(QuadForm.from_rows([[1, 1], [1, 1]]), c2) is None
 
-    empty = RayCone(2, (), True)
+    empty = RayCone(2, ())
     assert membership(QuadForm.from_rows([[0, 0], [0, 0]]), empty) == ()
     assert membership(QuadForm.from_rows([[1, 0], [0, 0]]), empty) is None
 
@@ -279,6 +279,25 @@ def test_face_transitivity():
     assert is_face(f, c)
     assert is_face(ff, f)
     assert is_face(ff, c)
+
+
+def test_simplicial_is_derived_from_the_generators():
+    """The flag is the rank test on the rank-one forms, whatever the cone
+    it was cut from or the JSON it was read from says; JSON still may not
+    claim it for dependent generators."""
+    face = face_by_deletion(perfect_cone_of(q5()), range(10, 20))
+    assert len(face.generators) == face.span_dimension() == 10 and face.simplicial
+    bare = RayCone.from_json_dict({"g": 2, "generators": [[1, 0], [0, 1]]})
+    assert bare.simplicial and bare.to_json_dict()["simplicial"] is True
+    assert gl_conjugate(IntMatrix([[1, 1], [0, 1]]), bare).simplicial
+    assert RayCone.from_json_dict({"g": 2, "generators": [[1, 0], [0, 1]],
+                                   "simplicial": False}) == bare
+    dependent = {"g": 2, "generators": [[1, 0], [0, 1], [1, 1], [1, -1]]}
+    assert not RayCone.from_json_dict(dependent).simplicial
+    with pytest.raises(ValueError, match="claimed simplicial but are dependent"):
+        RayCone.from_json_dict({**dependent, "simplicial": True})
+    with pytest.raises(TypeError):
+        RayCone(2, ((1, 0),), False)
 
 
 def test_cone_json_roundtrip():

@@ -6,7 +6,7 @@ from itertools import combinations, product
 
 import pytest
 
-from conelab import delone
+from conelab import delone, exact
 from conelab.delone import (
     WindowError,
     cells_incident_to_origin,
@@ -743,6 +743,24 @@ def test_voronoi_and_zonotope_work_counts(monkeypatch):
         voronoi_polytope(q)
         assert len(enumerations) == 1
     assert lp_calls == []
+
+
+def test_definite_walks_take_one_pivot_pass(monkeypatch):
+    """delone_subdivision and voronoi_polytope decide definiteness and read
+    det(qi) off one symmetric Bareiss pass, with no Bareiss determinant:
+    HEX takes one pass, D4 two (the second is the vertex check's
+    enumeration)."""
+    calls = {"_bareiss_int_det": 0, "symmetric_bareiss": 0}
+    for name in calls:
+        def counted(rows, name=name, kernel=getattr(exact, name)):
+            calls[name] += 1
+            return kernel(rows)
+        monkeypatch.setattr(exact, name, counted)
+    delone_subdivision(HEX)
+    assert calls == {"_bareiss_int_det": 0, "symmetric_bareiss": 1}
+    calls.update(dict.fromkeys(calls, 0))
+    voronoi_polytope(D4)
+    assert calls == {"_bareiss_int_det": 0, "symmetric_bareiss": 2}
 
 
 def test_minkowski_sum_checks():

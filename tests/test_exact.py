@@ -196,6 +196,50 @@ def test_ldlt_reconstructs():
         assert l.mul(dm).mul(l.transpose()) == q
 
 
+def _reference_ldlt(q: RatMatrix):
+    """The Fraction Cholesky loop that ldlt_decompose ran before it read
+    L and D off the symmetric Bareiss pivots."""
+    n = q.rows
+    l = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+    d = [F(0)] * n
+    for j in range(n):
+        dj = q.data[j][j] - sum(l[j][k] * l[j][k] * d[k] for k in range(j))
+        if dj <= 0:
+            return None
+        d[j] = dj
+        for i in range(j + 1, n):
+            num = q.data[i][j] - sum(l[i][k] * l[j][k] * d[k] for k in range(j))
+            l[i][j] = num / dj
+    return RatMatrix(l), tuple(d)
+
+
+def test_ldlt_matches_the_fraction_cholesky():
+    """Same L and D as the Fraction Cholesky, or None with it, on 1,000
+    seeded symmetric rational matrices at g = 1..5: Gram matrices with a
+    shifted diagonal (mostly definite) and random symmetric ones (mostly
+    not)."""
+    rng = random.Random(19)
+    definite = 0
+    for t in range(1000):
+        g = 1 + t % 5
+        if t % 2:
+            b = [[F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(g)] for _ in range(g)]
+            rows = [[sum(r[i] * r[j] for r in b) + F(rng.randint(-1, 2), 3) * (i == j)
+                     for j in range(g)] for i in range(g)]
+        else:
+            rows = [[F(0)] * g for _ in range(g)]
+            for i in range(g):
+                for j in range(i, g):
+                    rows[i][j] = rows[j][i] = F(rng.randint(-5, 5), rng.randint(1, 3))
+        q = RatMatrix(rows)
+        got = ldlt_decompose(q)
+        assert got == _reference_ldlt(q), q
+        if got is not None:
+            definite += 1
+            assert all(type(x) is F and x > 0 for x in got[1])
+    assert 200 < definite < 800, definite
+
+
 def test_matrix_text_format_roundtrip():
     text = "# header comment\n2 3\n1 1/2 0\n-1 2 7/3\n"
     m = parse_matrix(text)

@@ -1,7 +1,8 @@
 """Property tests on generated inputs: scaling and GL_g(Z) invariance of
 Delone subdivisions, radius independence of full-rank dicings, the
 dicing identity on the boundary of the cone, GL_g(Z) invariance of
-face decisions in perfect cones and of minimal vectors, and the
+face decisions in perfect cones, of minimal vectors and of Voronoi cells,
+and the
 invariance of the TU verdict under the operations that preserve total
 unimodularity.
 
@@ -20,8 +21,9 @@ from conelab.delone import (
     delone_subdivision,
     delone_with_window_growth,
     dicing_subdivision,
+    voronoi_polytope,
 )
-from conelab.exact import IntMatrix, canonical_sign, primitive
+from conelab.exact import IntMatrix, canonical_sign, invert, primitive
 from conelab.fixtures import load_graph, load_int_matrix
 from conelab.matroids import cographic_representation
 from conelab.quadforms import (
@@ -202,6 +204,19 @@ def test_minimal_vectors_are_gl_equivariant(qh):
     assert mv2.minimum == mv.minimum
     ht = h.transpose()
     assert {canonical_sign(ht.mul_vector(v)) for v in mv2.vectors} == set(mv.vectors)
+
+
+@PROPERTY
+@given(st.sampled_from((2, 3)).flatmap(
+    lambda g: st.tuples(definite_forms(g), unimodular(g))))
+def test_voronoi_cell_is_gl_equivariant(qh):
+    # x is in the cell of h Q h^t exactly when h^t x is in the cell of Q,
+    # so the vertices map by (h^t)^-1 and a halfspace (a, b) becomes (h a, b)
+    q, h = qh
+    cell, cell2 = voronoi_polytope(q), voronoi_polytope(q.conjugate(h))
+    hti = invert(h.transpose())
+    assert set(cell2.vertices) == {hti.mul_vector(v) for v in cell.vertices}
+    assert set(cell2.halfspaces) == {(h.mul_vector(a), b) for a, b in cell.halfspaces}
 
 
 sign_matrices = st.tuples(st.integers(1, 5), st.integers(1, 6)).flatmap(

@@ -349,6 +349,12 @@ def test_h_functional_values():
     assert h_functional(outer) == -2
 
 
+def test_h_functional_takes_a_vector_or_a_ratmatrix():
+    for alpha in (q5(), [[0] * 5] * 5, [F(1, 2)] * 5):
+        with pytest.raises(TypeError, match="integer vector or a RatMatrix"):
+            h_functional(alpha)
+
+
 def test_h_functional_rejects_asymmetric():
     rows = [[0] * 5 for _ in range(5)]
     rows[0][1] = 1

@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from conelab import exact
-from conelab.exact import IntMatrix, determinant, int_determinant
+from conelab.exact import IntMatrix, determinant, hermite_normal_form, int_determinant, invert, rank
 from conelab.fixtures import load_graph, load_int_matrix
 from conelab.matroids import cographic_representation, complete_graph, graphic_representation
 from conelab.tumatrix import (
@@ -165,6 +165,74 @@ def test_unimodular_rank_deficient():
     assert w is not None
     assert is_totally_unimodular(w.mul(a))
     assert is_unimodular(IntMatrix([[0, 0], [0, 0]])) is not None
+
+
+def _reference_is_unimodular(a):
+    """is_unimodular as it was before one basis decided: scan the r x r
+    column submatrices of the nonzero HNF rows in lexicographic order for a
+    unit determinant.  Returns (witness or None, whether one was found)."""
+    g = a.rows
+    if is_totally_unimodular(a):
+        return IntMatrix.identity(g), True
+    r = rank(a)
+    h_mat, u = hermite_normal_form(a)
+    top = [h_mat.data[i] for i in range(r)]
+    basis_cols = next((cols for cols in combinations(range(a.cols), r)
+                       if int_determinant([[row[j] for j in cols] for row in top]) in (-1, 1)),
+                      None)
+    if basis_cols is None:
+        return None, False
+    b_inv = invert(IntMatrix([[row[j] for j in basis_cols] for row in top]))
+    reduced = b_inv.mul(IntMatrix(top).to_rational())
+    if not reduced.is_integral() or not is_totally_unimodular(reduced.to_integer()):
+        return None, True
+    w = [[int(x) for x in row] + [0] * (g - r) for row in b_inv.data]
+    w += [[int(i == j) for j in range(g)] for i in range(r, g)]
+    return IntMatrix(w).mul(u), True
+
+
+def _random_unimodular(rng, g):
+    """A product of 2g elementary row additions (coefficient +-1, +-2) and
+    negations."""
+    rows = [[int(i == j) for j in range(g)] for i in range(g)]
+    for _ in range(2 * g):
+        i = rng.randrange(g)
+        if g > 1:
+            j = (i + rng.randrange(1, g)) % g
+            c = rng.choice((-2, -1, 1, 2))
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+        if rng.random() < 0.3:
+            rows[i] = [-x for x in rows[i]]
+    return IntMatrix(rows)
+
+
+def test_one_basis_decides_unimodularity():
+    """The greedy column basis gives the verdict and witness of the
+    lexicographic scan over every maximal column submatrix: on h A for the
+    TU fixtures and random h in GL_g(Z) (unimodular, mostly not TU), and
+    on seeded integer matrices, among them non-unimodular ones with and
+    without a unit basis.  [[1, 1, 1], [0, 1, 2]] has a unit basis B with
+    B^-1 T not TU."""
+    rng = random.Random(19)
+    cases = [IntMatrix([[1, 1, 1], [0, 1, 2]])]
+    cases += [_random_unimodular(rng, a.rows).mul(a) for a in TU_FIXTURES for _ in range(6)]
+    for t in range(600):
+        g, n, top = rng.randint(1, 4), rng.randint(1, 7), 1 + (t % 3 == 0)
+        cases.append(IntMatrix([[rng.randint(-top, top) for _ in range(n)] for _ in range(g)]))
+    kinds = {"unimodular, not TU": 0, "unit basis, not unimodular": 0,
+             "no unit basis": 0}
+    for a in cases:
+        want, unit_basis = _reference_is_unimodular(a)
+        got = is_unimodular(a)
+        assert got == want, a
+        if got is not None:
+            assert abs(determinant(got.to_rational())) == 1
+            assert is_totally_unimodular(got.mul(a))
+            kinds["unimodular, not TU"] += not is_totally_unimodular(a)
+        else:
+            kinds["unit basis, not unimodular" if unit_basis else "no unit basis"] += 1
+    assert is_unimodular(cases[0]) is None and _reference_is_unimodular(cases[0])[1]
+    assert all(count > 50 for count in kinds.values()), kinds
 
 
 def test_equivalence_examples():
