@@ -14,8 +14,10 @@ vertices are the circumcentres of the star cells, with no linear system
 solved, and its facets come from the Delone edges at the origin; one
 lattice enumeration checks every vertex.  A zonotope's vertices are found
 among the sign vectors of its facets, whose normals are cofactor vectors
-of its segments, with no LP; the one LP left here decides whether a
-clipped semi-definite cell meets the unit cube.  The chambers of a
+of its segments, with no LP.  The one LP left here decides whether a
+clipped semi-definite cell meets the unit cube, and only for a cell with
+no lattice point in the cube: such a point is itself a common point, so
+the cell's own points settle almost every cell.  The chambers of a
 full-rank dicing are read off exactly and need no window.
 A semi-definite form and a rank-deficient dicing share one path: reduce to
 a definite block (the rank normal form) or a full-rank column system (the
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
-from operator import add, mul
+from operator import add, mul, sub
 from typing import Optional
 
 from .exact import (
@@ -50,6 +52,7 @@ from .exact import (
     int_determinant,
     integer_pivots,
     invert,
+    pivot_adjugate,
     primitive,
     rank,
     solve_exact,
@@ -86,9 +89,9 @@ def window_radius_for(g: int, window_radius: Optional[int]) -> int:
 
 def normalize_cell(points) -> tuple:
     """Translate the lexicographically smallest point to the origin."""
-    pts = sorted(tuple(int(x) for x in p) for p in points)
+    pts = sorted(map(tuple, points))
     base = pts[0]
-    return tuple(tuple(x - b for x, b in zip(p, base)) for p in pts)
+    return tuple(tuple(map(sub, p, base)) for p in pts)
 
 
 @dataclass(frozen=True)
@@ -251,10 +254,17 @@ def _ellipsoid_inside_window(adj, det: int, aff, r: int) -> bool:
 
 
 def _cell_meets_box(vertices) -> bool:
-    """conv(vertices) meets the unit cube [0, 1]^g, decided by exact LP:
+    """conv(vertices) meets the unit cube [0, 1]^g.
+
+    A vertex in the cube lies in both, so it settles the test with no LP;
+    the vertices of a clipped cell are lattice points, so this asks
+    whether one of them is a 0/1 vector.  Otherwise an exact LP decides:
     lam, u, w >= 0 with sum lam v - u = 0, u + w = 1 and sum lam = 1, one
-    column (v, 0, 1) per vertex, (-e_i, e_i, 0) per u_i and (0, e_i, 0) per
-    w_i."""
+    column (v, 0, 1) per vertex, (-e_i, e_i, 0) per u_i and (0, e_i, 0)
+    per w_i.
+    """
+    if any(0 <= min(v) and max(v) <= 1 for v in vertices):
+        return True
     g = len(vertices[0])
     zeros = (0,) * g
     units = [tuple(int(i == k) for i in range(g)) for k in range(g)]
@@ -286,16 +296,14 @@ def delone_subdivision(q: QuadForm, window_radius: Optional[int] = None) -> Peri
 def _integer_form(q: QuadForm):
     """(qi, adj, det) for a definite form, else None: the least positive
     integer multiple qi of its matrix, the adjugate of qi and det(qi) > 0,
-    the last leading minor of the one symmetric Bareiss pass that decides
-    definiteness (see integer_pivots).  The Delone subdivision and the
-    Voronoi cell's vertices only depend on Q up to positive scaling, so
-    both are computed from qi in integers."""
+    all read off the one symmetric Bareiss pass that decides definiteness
+    (see integer_pivots and pivot_adjugate).  The Delone subdivision and
+    the Voronoi cell's vertices only depend on Q up to positive scaling,
+    so both are computed from qi in integers."""
     qi, _, pivots = integer_pivots(q.matrix)
     if pivots is None:
         return None
-    det = pivots[1][-1]
-    adj = [[int(x * det) for x in row] for row in invert(IntMatrix(qi)).data]
-    return qi, adj, det
+    return qi, pivot_adjugate(pivots), pivots[1][-1]
 
 
 def _star_walk(form, r: int) -> list:
@@ -391,16 +399,20 @@ def _pull_back(inner_cells, h: IntMatrix, g: int, r: int) -> PeriodicSubdivision
 
     h is unimodular, so y' = ((h^t)^-1 x)[:g'] is integral, and a cell is
     the set of window points whose y' lies in a translate of an inner
-    cell.  The window points are bucketed by y' once.  Over the unit cube
-    y' ranges in the box [lo, hi] (the negative and positive row sums of
-    the projection), so only translates whose bounding box meets it can
-    meet the cube; the clipped cells that do, by exact LP, are returned.
+    cell.  The window points are bucketed by y' once, each coordinate of
+    y' evaluated on the whole window as an int list (see _grid_values).
+    Over the unit cube y' ranges in the box [lo, hi] (the negative and
+    positive row sums of the projection), so only translates whose
+    bounding box meets it can meet the cube; the clipped cells that do
+    are returned (see _cell_meets_box: a cell point in the cube settles
+    it, and an exact LP decides the rest).
     """
     gp = len(next(iter(inner_cells))[0])
     proj = [[int(x) for x in row] for row in invert(h).transpose().data[:gp]]
+    axis = range(-r, r + 2)
     buckets = {}
-    for p in _window_points(g, r):
-        buckets.setdefault(tuple(_dot(row, p) for row in proj), []).append(p)
+    for p, y in zip(_window_points(g, r), zip(*(_grid_values(row, axis) for row in proj))):
+        buckets.setdefault(y, []).append(p)
     lo = [sum(x for x in row if x < 0) for row in proj]
     hi = [sum(x for x in row if x > 0) for row in proj]
     cells = set()

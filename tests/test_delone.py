@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import json
 import random
@@ -7,6 +8,7 @@ from itertools import combinations, product
 import pytest
 
 from conelab import delone, exact
+from conelab.cones import rank_one_sum
 from conelab.delone import (
     WindowError,
     cells_incident_to_origin,
@@ -508,6 +510,92 @@ def test_rank_deficient_dicings_match_a_slab_scan(r):
         assert set(dicing_subdivision(TUMatrix.check(a_s), r).cells) == _slab_classes(a_s, r)
 
 
+def _lp_cell_meets_box(vertices):
+    """The cube test by exact LP alone: lam, u, w >= 0 with
+    sum lam v - u = 0, u + w = 1 and sum lam = 1."""
+    g = len(vertices[0])
+    zeros = (0,) * g
+    units = [tuple(int(i == k) for i in range(g)) for k in range(g)]
+    cols = [(*v, *zeros, 1) for v in vertices]
+    cols += [(*(-x for x in e), *e, 0) for e in units]
+    cols += [(*zeros, *e, 0) for e in units]
+    return feasible_nonneg_combination(cols, (*zeros, *(1,) * g, 1)) is not None
+
+
+@pytest.mark.parametrize("r", (2, 3))
+def test_cube_test_agrees_with_the_lp(monkeypatch, r):
+    """Every clipped cell that the pull-backs test against the unit cube
+    gets the verdict of the LP-only test: the semi-definite forms
+    sum_S lam_i v_i v_i^t with seeded weights and the dicings of A_S, for
+    every rank-deficient support S of the five fixture systems.  Cells
+    with and without a point in the cube both occur."""
+    tested = {}
+    meets = delone._cell_meets_box
+
+    def recorded(pts):
+        tested[tuple(pts)] = verdict = meets(pts)
+        return verdict
+
+    monkeypatch.setattr(delone, "_cell_meets_box", recorded)
+    rng = random.Random(2020)
+    systems = [load_int_matrix(f"{name}.txt") for name in ("AK3", "AK4", "I2", "I3")]
+    systems.append(cographic_representation(load_graph("THETA.graph")))
+    for m in systems:
+        cols = m.columns()
+        for s in _rank_deficient_supports(m):
+            lam = [F(rng.randint(1, 9), rng.randint(1, 4)) for _ in s]
+            q = QuadForm(rank_one_sum([cols[i] for i in s], lam))
+            with contextlib.suppress(WindowError):
+                delone_subdivision(q, r)
+            dicing_subdivision(TUMatrix.check(_columns(m, s)), r)
+    for pts, verdict in tested.items():
+        assert verdict == _lp_cell_meets_box(pts), pts
+    in_cube = [pts for pts in tested if any(set(p) <= {0, 1} for p in pts)]
+    assert 0 < len(in_cube) < len(tested)
+
+
+def test_cube_test_falls_back_to_the_lp(monkeypatch):
+    """Vertex sets with no 0/1 point: three meet the cube only at points
+    that are not lattice points, (0, 1/3), (1/2, 1/2) and (0, 1/3, 1/3),
+    and one misses it; the LP answers each.  Sets with a 0/1 point, here
+    (1, 1), (1, 1, 1) and (0, 1), are settled without it."""
+    calls = []
+    lp = delone.feasible_nonneg_combination
+
+    def counted(*args):
+        calls.append(args)
+        return lp(*args)
+
+    monkeypatch.setattr(delone, "feasible_nonneg_combination", counted)
+    for pts in ([(-1, 0), (2, 1)], [(2, -1), (-1, 2)], [(-1, 0, 0), (2, 1, 1)]):
+        assert delone._cell_meets_box(pts)
+    assert not delone._cell_meets_box([(2, 0), (3, 1), (2, 1)])
+    assert len(calls) == 4
+    calls.clear()
+    for pts in ([(-1, 0), (1, 1)], [(-1, 0, 0), (1, 1, 1)], [(-1, 0), (2, 3), (0, 1)]):
+        assert delone._cell_meets_box(pts)
+    assert calls == []
+
+
+def test_boundary_pull_backs_solve_no_lp(monkeypatch):
+    """The Delone subdivision of diag(9/4, 1, 0), the I3 support {0, 1}
+    with lam = (9/4, 1), and the dicing of that support find a cube point
+    in every clipped cell they test, so they solve no LP."""
+    calls = []
+    lp = delone.feasible_nonneg_combination
+
+    def counted(*args):
+        calls.append(args)
+        return lp(*args)
+
+    monkeypatch.setattr(delone, "feasible_nonneg_combination", counted)
+    a_s = _columns(load_int_matrix("I3.txt"), (0, 1))
+    q = QuadForm(rank_one_sum(a_s.columns(), [F(9, 4), F(1)]))
+    assert q.matrix == RatMatrix([[F(9, 4), 0, 0], [0, 1, 0], [0, 0, 0]])
+    assert delone_subdivision(q) == dicing_subdivision(TUMatrix.check(a_s))
+    assert calls == []
+
+
 # recorded with the fixed shift box of the Delone branch and the slab
 # candidates and full-dimensionality LPs of the dicing (digest 65f25b2a...),
 # then re-pinned for the shared pull-back, which changes one output: the
@@ -761,6 +849,27 @@ def test_definite_walks_take_one_pivot_pass(monkeypatch):
     calls.update(dict.fromkeys(calls, 0))
     voronoi_polytope(D4)
     assert calls == {"_bareiss_int_det": 0, "symmetric_bareiss": 2}
+
+
+def test_integer_form_reads_the_adjugate_off_the_pivots(monkeypatch):
+    """_integer_form's adjugate satisfies adj qi = det I with det the
+    determinant of qi, on seeded definite rational forms at g = 1..4, and
+    the definite walks of HEX and D4 invert no matrix."""
+    rng = random.Random(3131)
+    for g in (1, 2, 3, 4):
+        for _ in range(30):
+            b = [[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(g)] for _ in range(g)]
+            rows = [[sum(x * y for x, y in zip(bi, bj)) + F(int(i == j), rng.randint(1, 4))
+                     for j, bj in enumerate(b)] for i, bi in enumerate(b)]
+            qi, adj, det = delone._integer_form(QuadForm.from_rows(rows))
+            assert det == int_determinant(qi) > 0
+            assert [[sum(a * q for a, q in zip(row, col)) for col in zip(*qi)] for row in adj] \
+                == [[det * (i == j) for j in range(g)] for i in range(g)]
+    calls = []
+    monkeypatch.setattr(delone, "invert", lambda a: calls.append(a) or invert(a))
+    delone_subdivision(HEX)
+    voronoi_polytope(D4)
+    assert calls == []
 
 
 def test_minkowski_sum_checks():

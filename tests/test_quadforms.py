@@ -245,6 +245,31 @@ def test_enumeration_computes_no_fraction_ldlt(monkeypatch):
     assert calls == []
 
 
+def test_minima_take_one_pivot_pass(monkeypatch):
+    """minimal_vectors and is_well_suited decide definiteness and enumerate
+    on one symmetric Bareiss pass, and keep their answers on a form that is
+    not definite."""
+    calls = []
+    kernel = exact.symmetric_bareiss
+
+    def counted(rows):
+        calls.append(rows)
+        return kernel(rows)
+
+    monkeypatch.setattr(exact, "symmetric_bareiss", counted)
+    assert len(minimal_vectors(q5()).vectors) == 20
+    assert len(calls) == 1
+    calls.clear()
+    assert is_well_suited(QuadForm(load_matrix("QW10.txt")), TUMatrix.check(load_int_matrix("A10.txt")))
+    assert len(calls) == 1
+    calls.clear()
+    semi = QuadForm.from_rows([[1, 0], [0, 0]])
+    with pytest.raises(ValueError, match=r"^minimal vectors require a positive definite form$"):
+        minimal_vectors(semi)
+    assert not is_well_suited(semi, TUMatrix.check(IntMatrix.identity(2)))
+    assert len(calls) == 2
+
+
 def test_only_the_cli_imports_the_fraction_ldlt():
     """ldlt_decompose is what `conelab mat ldlt` prints; no library module
     imports it or reaches it as a module attribute."""
