@@ -52,11 +52,11 @@ from .exact import (
     int_determinant,
     integer_pivots,
     invert,
-    pivot_adjugate,
     primitive,
     rank,
     solve_exact,
 )
+from .exact import _rref
 from .cones import rank_one_sum
 from .lp import feasible_nonneg_combination
 from .quadforms import (
@@ -296,14 +296,19 @@ def delone_subdivision(q: QuadForm, window_radius: Optional[int] = None) -> Peri
 def _integer_form(q: QuadForm):
     """(qi, adj, det) for a definite form, else None: the least positive
     integer multiple qi of its matrix, the adjugate of qi and det(qi) > 0,
-    all read off the one symmetric Bareiss pass that decides definiteness
-    (see integer_pivots and pivot_adjugate).  The Delone subdivision and
-    the Voronoi cell's vertices only depend on Q up to positive scaling,
-    so both are computed from qi in integers."""
+    the last leading minor of the one symmetric Bareiss pass that decides
+    definiteness (see integer_pivots).  Row i of the reduced [qi | det I]
+    is row[i] times (e_i, adj_i), so adj comes out by exact integer
+    division, with no Fraction.  The Delone subdivision and the Voronoi
+    cell's vertices only depend on Q up to positive scaling, so both are
+    computed from qi in integers."""
     qi, _, pivots = integer_pivots(q.matrix)
     if pivots is None:
         return None
-    return qi, pivot_adjugate(pivots), pivots[1][-1]
+    det, g = pivots[1][-1], len(qi)
+    m = [[*row, *(det * (i == j) for j in range(g))] for i, row in enumerate(qi)]
+    _rref(m, g)
+    return qi, [[x // row[i] for x in row[g:]] for i, row in enumerate(m)], det
 
 
 def _star_walk(form, r: int) -> list:

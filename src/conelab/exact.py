@@ -246,26 +246,6 @@ def integer_pivots(q: RatMatrix):
     return qi, den, symmetric_bareiss(qi)
 
 
-def pivot_adjugate(pivots) -> list:
-    """adj(Q) as int rows, from the pivots (m, d) of symmetric_bareiss(Q).
-
-    With U the upper rows of m, Q = U^t E U for E = diag(1/(d[k] d[k + 1])),
-    so U adj(Q) = det(Q) E^-1 U^-t is lower triangular with diagonal
-    det(Q) d[i].  Back-substitution from the last row, filling adj(Q)
-    symmetrically, solves row i for its entries j > i and then for the
-    diagonal; each division by m[i][i] = d[i + 1] is exact because adj(Q)
-    is integral.  No second elimination runs."""
-    m, d = pivots
-    n = len(m)
-    adj = [[0] * n for _ in range(n)]
-    for i in reversed(range(n)):
-        mi = m[i]
-        for j in range(n - 1, i - 1, -1):  # the diagonal last: it reads adj[i][i+1:]
-            s = sum(mi[k] * adj[k][j] for k in range(i + 1, n))
-            adj[i][j] = adj[j][i] = ((d[n] * d[i] if i == j else 0) - s) // d[i + 1]
-    return adj
-
-
 def ldlt_decompose(q: RatMatrix):
     """Q = L D L^t with unit lower L and positive diagonal D, read off the
     symmetric Bareiss pivots of qi = den Q (see integer_pivots): below the

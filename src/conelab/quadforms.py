@@ -112,8 +112,7 @@ def rational_rank_normal_form(q: QuadForm):
 
 
 def enumerate_in_ellipsoid(q: RatMatrix, bound: Fraction,
-                           center: Optional[Sequence[Fraction]] = None, *,
-                           pivots=None):
+                           center: Optional[Sequence[Fraction]] = None):
     """All x in Z^g with (x - c)^t Q (x - c) <= bound, with exact values.
 
     Fincke-Pohst branch and bound from the last coordinate, in integers.
@@ -124,12 +123,11 @@ def enumerate_in_ellipsoid(q: RatMatrix, bound: Fraction,
     is then the integer interval |t_k| <= isqrt(remaining budget / coef_k).
     Q must be positive definite.  Returns a list of (x, value) pairs in
     lexicographic order of (x_{g-1}, ..., x_0); a negative bound gives the
-    empty list.  A caller that has already pivoted Q passes its
-    integer_pivots(q) as `pivots`, so the form is not pivoted again.
+    empty list.
     """
     if not q.is_symmetric():
         raise DimensionError("enumeration needs a symmetric matrix")
-    _, qden, pivots = pivots or integer_pivots(q)
+    _, qden, pivots = integer_pivots(q)
     if pivots is None:
         raise ValueError("enumeration requires a positive definite form")
     m, d = pivots
@@ -185,13 +183,14 @@ class MinimalVectorSet:
 
 
 def minimal_vectors(q: QuadForm) -> MinimalVectorSet:
-    """Exact minimum over Z^g - {0} and all vectors attaining it."""
-    pivots = integer_pivots(q.matrix)
-    if pivots[2] is None:
-        raise ValueError("minimal vectors require a positive definite form")
+    """Exact minimum over Z^g - {0} and all vectors attaining it.  The
+    enumeration's one pivot pass also decides definiteness."""
     start = min(q.matrix.data[i][i] for i in range(q.g))
-    hits = [(v, val) for v, val in enumerate_in_ellipsoid(q.matrix, start, pivots=pivots)
-            if any(x != 0 for x in v)]
+    try:
+        found = enumerate_in_ellipsoid(q.matrix, start)
+    except ValueError:
+        raise ValueError("minimal vectors require a positive definite form") from None
+    hits = [(v, val) for v, val in found if any(x != 0 for x in v)]
     mu = min(val for _, val in hits)
     vecs = sorted({canonical_sign(v) for v, val in hits if val == mu})
     return MinimalVectorSet(mu, tuple(vecs))
@@ -216,12 +215,13 @@ def is_well_suited(q: QuadForm, a: TUMatrix) -> bool:
         raise DimensionError("matrix rows must match the form dimension")
     if not is_simple_matrix(m):
         raise ValueError("well-suitedness is defined against a simple matrix")
-    pivots = integer_pivots(q.matrix)
-    if pivots[2] is None:
+    try:
+        found = enumerate_in_ellipsoid(q.matrix, Fraction(1))
+    except ValueError:  # not definite; q.matrix is symmetric
         return False
     cols = {canonical_sign(c) for c in m.columns()}
     on_sphere = set()
-    for v, val in enumerate_in_ellipsoid(q.matrix, Fraction(1), pivots=pivots):
+    for v, val in found:
         if all(x == 0 for x in v):
             continue
         if val < 1:
